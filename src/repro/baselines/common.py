@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.storage.disk import IOStats, SimulatedDisk
+from repro.storage.disk import IOStats, io_delta, io_snapshot
 
 __all__ = ["QueryAnswer", "io_snapshot", "io_delta"]
 
@@ -32,24 +32,3 @@ class QueryAnswer:
     distances: np.ndarray
     io: IOStats
     refinements: int = 0
-
-
-def io_snapshot(disk: SimulatedDisk) -> IOStats:
-    """Copy of the disk's current counters."""
-    s = disk.stats
-    return IOStats(
-        seeks=s.seeks,
-        blocks_read=s.blocks_read,
-        blocks_overread=s.blocks_overread,
-        elapsed=s.elapsed,
-    )
-
-
-def io_delta(before: IOStats, after: IOStats) -> IOStats:
-    """Counter-wise difference ``after - before``."""
-    return IOStats(
-        seeks=after.seeks - before.seeks,
-        blocks_read=after.blocks_read - before.blocks_read,
-        blocks_overread=after.blocks_overread - before.blocks_overread,
-        elapsed=after.elapsed - before.elapsed,
-    )

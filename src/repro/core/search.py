@@ -41,13 +41,8 @@ from repro.costmodel.access_probability import (
 from repro.core.tree import ExactStore, IQTree, PageHandle
 from repro.geometry.mbr import maxdist_to_boxes, mindist_to_boxes
 from repro.obs.drift import MONITOR as _DRIFT
-from repro.obs.instruments import (
-    DEGRADED_RESULTS,
-    LOST_PAGES,
-    QUERY_SECONDS,
-    REGISTRY,
-)
-from repro.storage.disk import IOStats
+from repro.obs.instruments import QUERY_SECONDS, REGISTRY
+from repro.storage.disk import IOStats, io_delta, io_snapshot
 from repro.storage.runtime_faults import (
     LostPage,
     fault_address,
@@ -62,9 +57,12 @@ __all__ = [
     "nearest_neighbors",
     "range_search",
     "browse_by_distance",
+    "cell_interval",
     "certain_mask",
     "checked_query",
     "checked_queries",
+    "checked_radius",
+    "degraded_fields",
     "io_snapshot",
     "io_delta",
     "next_query_id",
@@ -293,7 +291,7 @@ def _nearest_impl(
     tree: IQTree, query: np.ndarray, k: int, scheduler: str
 ) -> NNResult:
     ctx = tree._fault_ctx
-    io_before = io_snapshot(tree)
+    io_before = io_snapshot(tree.disk)
     tree._charge_directory_scan()
 
     metric = tree.metric
@@ -334,9 +332,7 @@ def _nearest_impl(
                 ),
             )
         )
-        ctx.lost_pages += 1
-        if REGISTRY.enabled:
-            LOST_PAGES.inc()
+        ctx.lose_pages()
 
     tie = itertools.count()
     heap: list[tuple] = [
@@ -388,25 +384,13 @@ def _nearest_impl(
             _process_page(tree, query, handle, best, heap, tie)
 
     ids, dists = best.sorted_results()
-    degraded = bool(intervals or lost_pages)
-    certain = None
-    result_intervals = None
-    if degraded:
-        certain = _certain_mask(ids, intervals)
-        result_intervals = {
-            pid: intervals[pid] for pid in ids.tolist() if pid in intervals
-        }
-    io_after = io_snapshot(tree)
     result = NNResult(
         ids=ids,
         distances=dists,
-        io=io_delta(io_before, io_after),
+        io=io_delta(io_before, io_snapshot(tree.disk)),
         pages_read=pages_read,
         refinements=exact.refinements,
-        certain=certain,
-        intervals=result_intervals,
-        lost_pages=tuple(lost_pages),
-        degraded=degraded,
+        **degraded_fields(ids, intervals, lost_pages),
     )
     if REGISTRY.enabled:
         QUERY_SECONDS.observe(result.io.elapsed)
@@ -429,8 +413,7 @@ def range_search(tree: IQTree, query: np.ndarray, radius: float) -> RangeResult:
     returning an answer means producing its exact record; a point whose
     cell straddles the radius is refined to decide.
     """
-    if radius < 0:
-        raise SearchError("radius must be non-negative")
+    radius = float(checked_radius(radius))
     tree._ensure_clean()
     query = checked_query(tree, query)
     query_id = next_query_id()
@@ -449,7 +432,7 @@ def range_search(tree: IQTree, query: np.ndarray, radius: float) -> RangeResult:
 
 def _range_impl(tree: IQTree, query: np.ndarray, radius: float) -> RangeResult:
     ctx = tree._fault_ctx
-    io_before = io_snapshot(tree)
+    io_before = io_snapshot(tree.disk)
     tree._charge_directory_scan()
     metric = tree.metric
     page_mindists = mindist_to_boxes(
@@ -474,26 +457,21 @@ def _range_impl(tree: IQTree, query: np.ndarray, radius: float) -> RangeResult:
         else:
             to_fetch.append(page)
 
-    if ctx is None:
-        payloads = tree._quant_file.read_batched(to_fetch)
-    else:
-        payloads, lost_local = fetch_with_quarantine(
-            tree._quant_file, tree.disk, ctx, to_fetch
-        )
-        for page in lost_local:
-            # Membership of every point in the page is unknowable;
-            # maxdist is irrelevant for a radius predicate.
-            lost_pages.append(
-                LostPage(
-                    page=int(page),
-                    n_points=int(tree._counts[page]),
-                    mindist=float(page_mindists[page]),
-                    maxdist=float("inf"),
-                )
+    payloads, lost_local = fetch_with_quarantine(
+        tree._quant_file, tree.disk, ctx, to_fetch
+    )
+    for page in lost_local:
+        # Membership of every point in the page is unknowable;
+        # maxdist is irrelevant for a radius predicate.
+        lost_pages.append(
+            LostPage(
+                page=int(page),
+                n_points=int(tree._counts[page]),
+                mindist=float(page_mindists[page]),
+                maxdist=float("inf"),
             )
-            ctx.lost_pages += 1
-            if REGISTRY.enabled:
-                LOST_PAGES.inc()
+        )
+        ctx.lose_pages()
     for page in candidates.tolist():
         handle = cached_handles.get(page)
         if handle is None:
@@ -509,35 +487,27 @@ def _range_impl(tree: IQTree, query: np.ndarray, radius: float) -> RangeResult:
             continue
         quantizer = tree._codec_view(page, handle)
         lower_b = quantizer.cell_mindist(query, handle.codes, metric)
-        upper_b = None
+        boxes = None
         page_ids: list[int] = []
         page_dists: list[float] = []
-        for local in np.flatnonzero(lower_b <= radius):
-            if ctx is None:
-                coords, pid = exact.fetch(page, int(local))
-            else:
-                try:
-                    coords, pid = exact.fetch(page, int(local))
-                except (ReadFaultError, IntegrityError) as exc:
-                    if fault_address(exc) is None:
-                        raise
-                    if upper_b is None:
-                        upper_b = quantizer.cell_maxdist(
-                            query, handle.codes, metric
-                        )
-                    # Possible member: cell overlaps the radius but the
-                    # exact record is gone.  Include it flagged
-                    # uncertain at the conservative maxdist.
-                    pid = int(tree._part_ids[page][local])
-                    lo = float(lower_b[local])
-                    hi = float(upper_b[local])
-                    page_ids.append(pid)
-                    page_dists.append(hi)
-                    intervals[pid] = (lo, hi)
-                    ctx.degraded_results += 1
-                    if REGISTRY.enabled:
-                        DEGRADED_RESULTS.inc()
-                    continue
+        for local in np.flatnonzero(lower_b <= radius).tolist():
+            try:
+                coords, pid = exact.fetch(page, local)
+            except (ReadFaultError, IntegrityError) as exc:
+                if ctx is None or fault_address(exc) is None:
+                    raise
+                if boxes is None:
+                    boxes = quantizer.cell_bounds(handle.codes)
+                # Possible member: cell overlaps the radius but the
+                # exact record is gone.  Include it flagged uncertain
+                # at the conservative maxdist.
+                pid = int(tree._part_ids[page][local])
+                lo, hi = cell_interval(query, boxes, local, metric)
+                page_ids.append(pid)
+                page_dists.append(hi)
+                intervals[pid] = (lo, hi)
+                ctx.degrade()
+                continue
             dist = metric.distance(query, coords)
             if dist <= radius:
                 page_ids.append(pid)
@@ -554,23 +524,13 @@ def _range_impl(tree: IQTree, query: np.ndarray, radius: float) -> RangeResult:
         found_dists = np.empty(0)
     order = np.argsort(found_dists, kind="stable")
     ids_sorted = found_ids[order]
-    degraded = bool(intervals or lost_pages)
-    certain = None
-    result_intervals = None
-    if degraded:
-        certain = certain_mask(ids_sorted, intervals)
-        result_intervals = dict(intervals)
-    io_after = io_snapshot(tree)
     result = RangeResult(
         ids=ids_sorted,
         distances=found_dists[order],
-        io=io_delta(io_before, io_after),
+        io=io_delta(io_before, io_snapshot(tree.disk)),
         pages_read=pages_read,
         refinements=exact.refinements,
-        certain=certain,
-        intervals=result_intervals,
-        lost_pages=tuple(lost_pages),
-        degraded=degraded,
+        **degraded_fields(ids_sorted, intervals, lost_pages),
     )
     if REGISTRY.enabled:
         # The cost model predicts kNN queries only, so range queries
@@ -831,16 +791,12 @@ def _refine_degraded(
         if fault_address(exc) is None:
             raise
         handle = handles_by_page[page]
-        quantizer = tree._codec_view(page, handle)
-        code = handle.codes[local : local + 1]
-        lo = float(quantizer.cell_mindist(query, code, metric)[0])
-        hi = float(quantizer.cell_maxdist(query, code, metric)[0])
+        boxes = tree._codec_view(page, handle).cell_bounds(handle.codes)
+        lo, hi = cell_interval(query, boxes, local, metric)
         pid = int(tree._part_ids[page][local])
         best.offer(hi, pid)
         intervals[pid] = (lo, hi)
-        ctx.degraded_results += 1
-        if REGISTRY.enabled:
-            DEGRADED_RESULTS.inc()
+        ctx.degrade()
         return
     best.offer(metric.distance(query, coords), pid)
 
@@ -859,7 +815,55 @@ def certain_mask(
     return ~np.isin(ids, uncertain)
 
 
-_certain_mask = certain_mask
+def cell_interval(
+    query: np.ndarray, boxes: tuple, local: int, metric
+) -> tuple[float, float]:
+    """The ``(mindist, maxdist)`` cell interval of one point of a page.
+
+    ``boxes`` is the page's per-point ``(lowers, uppers)`` cell bounds.
+    The interval provably contains the exact distance (grid-cell
+    containment, paper Section 3.2), so a point whose exact record is
+    unreadable is reported with it, ranked at the sound ``maxdist``.
+    Every degraded path -- single-query kNN and range, both batch
+    assemblers -- computes its fallbacks here.
+    """
+    lowers = boxes[0][local : local + 1]
+    uppers = boxes[1][local : local + 1]
+    return (
+        float(mindist_to_boxes(query, lowers, uppers, metric)[0]),
+        float(maxdist_to_boxes(query, lowers, uppers, metric)[0]),
+    )
+
+
+def degraded_fields(
+    ids: np.ndarray,
+    intervals: dict[int, tuple[float, float]],
+    lost_pages,
+    degraded: bool = False,
+) -> dict:
+    """The ``certain`` / ``intervals`` / ``lost_pages`` / ``degraded``
+    fields of a result, as keyword arguments.
+
+    A result degrades when any fallback fired -- a cell interval, a
+    lost page, or a caller-known cause such as a dead shard.  Only the
+    intervals of ids that made it into ``ids`` are reported, in result
+    order.
+    """
+    lost_pages = tuple(lost_pages)
+    degraded = bool(degraded or intervals or lost_pages)
+    certain = None
+    result_intervals = None
+    if degraded:
+        certain = certain_mask(ids, intervals)
+        result_intervals = {
+            pid: intervals[pid] for pid in ids.tolist() if pid in intervals
+        }
+    return {
+        "certain": certain,
+        "intervals": result_intervals,
+        "lost_pages": lost_pages,
+        "degraded": degraded,
+    }
 
 
 def checked_query(tree: IQTree, query) -> np.ndarray:
@@ -887,22 +891,12 @@ def checked_queries(tree: IQTree, queries) -> np.ndarray:
     return queries
 
 
-def io_snapshot(tree: IQTree) -> IOStats:
-    """Copy of the tree's disk ledger (for before/after deltas)."""
-    s = tree.disk.stats
-    return IOStats(
-        seeks=s.seeks,
-        blocks_read=s.blocks_read,
-        blocks_overread=s.blocks_overread,
-        elapsed=s.elapsed,
+def checked_radius(radius, shape=()) -> np.ndarray:
+    """Validate search radii -- non-negative and finite -- broadcast to
+    ``shape`` (a 0-d array for one query, ``(q,)`` for a batch)."""
+    radii = np.array(
+        np.broadcast_to(np.asarray(radius, dtype=np.float64), shape)
     )
-
-
-def io_delta(before: IOStats, after: IOStats) -> IOStats:
-    """Ledger difference ``after - before``."""
-    return IOStats(
-        seeks=after.seeks - before.seeks,
-        blocks_read=after.blocks_read - before.blocks_read,
-        blocks_overread=after.blocks_overread - before.blocks_overread,
-        elapsed=after.elapsed - before.elapsed,
-    )
+    if np.any(radii < 0) or not np.all(np.isfinite(radii)):
+        raise SearchError("radius must be non-negative and finite")
+    return radii

@@ -104,31 +104,24 @@ class PageDecodeCache:
         with obs_span(
             "fetch", disk=self._tree.disk, pages=len(need)
         ) as fetch_span:
-            if ctx is None:
-                payloads = self._tree._quant_file.read_batched(need)
-            else:
-                payloads, lost = fetch_with_quarantine(
-                    self._tree._quant_file, self._tree.disk, ctx, need
-                )
-                if lost:
-                    self.lost_pages.extend(lost)
-                    self._lost.update(lost)
-                    if shared is not None:
-                        for page in lost:
-                            shared.invalidate(page)
-                    if fetch_span is not None:
-                        fetch_span.attrs["degraded"] = True
-                        fetch_span.attrs["lost_pages"] = len(lost)
+            payloads, lost = fetch_with_quarantine(
+                self._tree._quant_file, self._tree.disk, ctx, need
+            )
+            if lost:
+                self.lost_pages.extend(lost)
+                self._lost.update(lost)
+                if shared is not None:
+                    for page in lost:
+                        shared.invalidate(page)
+                if fetch_span is not None:
+                    fetch_span.attrs["degraded"] = True
+                    fetch_span.attrs["lost_pages"] = len(lost)
         self.pages_fetched += len(payloads)
         with obs_span("decode", disk=self._tree.disk, pages=len(payloads)):
             self._decode_bulk(payloads)
         if shared is not None:
             for page in payloads:
                 shared.put(self._tree, page, self._handles[page])
-
-    def is_lost(self, page: int) -> bool:
-        """Whether ``page`` was requested but could not be read."""
-        return page in self._lost
 
     def handle(self, page: int) -> PageHandle:
         """Decoded view of one loaded page."""
@@ -265,19 +258,16 @@ class ExactBatchStore:
             blocks.update(range(b0, b1 + 1))
             spans.append(((page, local), b0, b1, offset))
         if blocks:
-            ctx = tree._fault_ctx
             with obs_span(
                 "fetch-exact", disk=tree.disk, records=len(spans)
             ) as fetch_span:
-                if ctx is None:
-                    payloads = tree._exact_file.read_batched(sorted(blocks))
-                else:
-                    payloads, lost = fetch_with_quarantine(
-                        tree._exact_file, tree.disk, ctx, sorted(blocks)
-                    )
-                    if lost and fetch_span is not None:
-                        fetch_span.attrs["degraded"] = True
-                        fetch_span.attrs["lost_blocks"] = len(lost)
+                payloads, lost = fetch_with_quarantine(
+                    tree._exact_file, tree.disk, tree._fault_ctx,
+                    sorted(blocks),
+                )
+                if lost and fetch_span is not None:
+                    fetch_span.attrs["degraded"] = True
+                    fetch_span.attrs["lost_blocks"] = len(lost)
             decoded = 0
             for key, b0, b1, offset in spans:
                 if any(b not in payloads for b in range(b0, b1 + 1)):

@@ -25,8 +25,14 @@ a per-query guaranteed radius (the smallest maxdist prefix covering
 ``k`` points), every page whose mindist is inside it is a candidate,
 and after decoding, the k-th smallest per-point *upper* bound prunes
 the refinement set while keeping the exact answer -- any true neighbor
-has a lower bound below that threshold.  Results are exact and agree
-with :func:`repro.core.search.nearest_neighbors` / ``range_search``.
+has a lower bound below that threshold.  Range batches take each
+query's radius as its candidate bound instead.  Both kinds run one
+driver under one guard (write lock, flight recorder, storage-error
+translation); they differ only in the ``k`` / ``radii`` field of the
+single :class:`~repro.engine.kernels.BatchTask` the driver ships through
+both per-query phases, and only kNN computes the maxdist matrix.
+Results are exact and agree with
+:func:`repro.core.search.nearest_neighbors` / ``range_search``.
 
 An optional shared :class:`~repro.storage.cache.BufferPool` spans
 batches (and possibly several indexes), so hot directory and data
@@ -43,7 +49,9 @@ plain arrays (query rows, candidate masks, decoded matrices, cell-bound
 boxes), never an ``IQTree``, ``BlockFile``, or cache object, so they
 run equally on worker threads or worker *processes* -- the process
 backend is what converts simulated speedup into wall-clock speedup on
-multi-core hosts.  Every simulated-I/O charge (directory scan, page
+multi-core hosts.  For the process backend the driver freezes the task
+into a shared arena once per batch, so both phases read the same
+zero-copy arrays.  Every simulated-I/O charge (directory scan, page
 fetch, third-level fetch) and every side effect on shared state
 (fault-context counters, registry instruments) stays on the coordinator
 thread and is applied in query order, so results, the I/O ledger, and
@@ -55,14 +63,13 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.search import (
     checked_queries,
-    io_delta,
-    io_snapshot,
+    checked_radius,
     next_query_id,
     raise_query_error,
 )
@@ -71,10 +78,7 @@ from repro.engine.concurrent import WorkerPool
 from repro.engine.decode import ExactBatchStore, PageDecodeCache
 from repro.engine.kernels import (
     BatchQueryResult,
-    KnnAssembleTask,
-    KnnPlanTask,
-    RangeAssembleTask,
-    RangePlanTask,
+    BatchTask,
     assemble_knn_shard,
     assemble_range_shard,
     plan_knn_shard,
@@ -88,8 +92,6 @@ from repro.obs.flight import observe_batch
 from repro.obs.instruments import (
     BATCH_QUERIES,
     BATCHES,
-    DEGRADED_RESULTS,
-    LOST_PAGES,
     QUERY_SECONDS,
     REGISTRY,
 )
@@ -97,7 +99,7 @@ from repro.obs.tracing import active_tracer
 from repro.obs.tracing import span as obs_span
 from repro.geometry.mbr import maxdist_matrix, mindist_matrix
 from repro.storage.cache import BufferPool
-from repro.storage.disk import IOStats
+from repro.storage.disk import IOStats, io_delta, io_snapshot
 
 __all__ = [
     "QueryEngine",
@@ -156,13 +158,17 @@ def _report_missing_worker_spans(phase: str) -> None:
         warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
-def _stitch_worker_records(tracer, phase: str, per_query) -> None:
+def _stitch_worker_records(tracer, phase: str, items: list[dict]) -> None:
     """Graft per-query worker records into the live trace, in order.
 
-    ``per_query`` is one record tuple per query, already in batch query
+    ``items`` are a phase's per-query outputs, already in batch query
     order (``map_sharded`` restores it), so the stitched tree is
-    independent of worker count and backend.
+    independent of worker count and backend.  The records are popped
+    off the outputs either way; without a tracer nothing is stitched.
     """
+    per_query = [item.pop("spans", ()) for item in items]
+    if tracer is None:
+        return
     if any(not recs for recs in per_query):
         _report_missing_worker_spans(phase)
     tracer.stitch([rec for recs in per_query for rec in recs])
@@ -294,7 +300,7 @@ class QueryEngine:
         )
 
     # ------------------------------------------------------------------
-    # kNN batches
+    # Batches
     # ------------------------------------------------------------------
     def knn_batch(
         self,
@@ -334,30 +340,59 @@ class QueryEngine:
                 raise SearchError(
                     "radius_cap must have one entry per query"
                 )
+        return self._guarded(
+            "knn-batch", lambda: self._batch(queries, k, None, radius_cap)
+        )
+
+    def range_batch(self, queries: np.ndarray, radius) -> BatchResult:
+        """Range search (all points within a radius) for a batch.
+
+        ``radius`` is one scalar shared by every query or an array of
+        per-query radii, shape ``(q,)``.  Degraded-mode semantics match
+        :meth:`knn_batch`: uncertain points whose cell overlaps the
+        radius are *included* (marked via ``certain``/``intervals``),
+        and wholly lost pages are reported with an infinite maxdist
+        because their contribution cannot be bounded.
+        """
+        tree = self.tree
+        tree._ensure_clean()
+        queries = checked_queries(tree, queries)
+        radii = checked_radius(radius, (queries.shape[0],))
+        return self._guarded(
+            "range-batch", lambda: self._batch(queries, None, radii, None)
+        )
+
+    def _guarded(self, kind: str, run) -> BatchResult:
+        """Run one batch under the tree's write lock and flight recorder.
+
+        The lock serializes the batch against maintenance sweeps (they
+        take the same lock), so pages can never be swapped out from
+        under it; a storage failure surfaces as a QueryDataError.
+        """
+        tree = self.tree
         batch_id = next_query_id()
         try:
-            # The whole batch runs under the tree's write lock so a
-            # concurrent maintenance sweep can never swap pages out
-            # from under it (sweeps take the same lock).
             with tree._write_lock:
                 if tree._flight_recorder is not None:
                     return observe_batch(
-                        tree._flight_recorder, tree, "knn-batch", batch_id,
-                        lambda: self._knn_batch_impl(queries, k, radius_cap),
+                        tree._flight_recorder, tree, kind, batch_id, run
                     )
-                return self._knn_batch_impl(queries, k, radius_cap)
+                return run()
         except StorageError as exc:
             raise_query_error(exc, tree, batch_id)
 
-    def _knn_batch_impl(
+    def _batch(
         self,
         queries: np.ndarray,
-        k: int,
-        radius_cap: np.ndarray | None = None,
+        k: int | None,
+        radii: np.ndarray | None,
+        radius_cap: np.ndarray | None,
     ) -> BatchResult:
+        """The batch driver: kNN when ``k`` is set, range otherwise."""
         tree = self.tree
+        knn = k is not None
         n_queries = queries.shape[0]
-        before = io_snapshot(tree)
+        before = io_snapshot(tree.disk)
         pool_before = self._pool_counters()
         fault_before = self._fault_counters()
         metric = tree.metric
@@ -370,14 +405,18 @@ class QueryEngine:
             dmin = mindist_matrix(
                 queries, tree._lowers, tree._uppers, metric
             )
-            dmax = maxdist_matrix(
-                queries, tree._lowers, tree._uppers, metric
+            dmax = (
+                maxdist_matrix(queries, tree._lowers, tree._uppers, metric)
+                if knn
+                else None
             )
         with obs_span("schedule", disk=tree.disk, queries=n_queries):
-            radii = self._guarantee_radii(dmax, k)
-            if radius_cap is not None:
-                radii = np.minimum(radii, radius_cap)
-            cand_mask = dmin <= radii[:, None]
+            bound = radii
+            if knn:
+                bound = guarantee_radii(dmax, tree._counts, k)
+                if radius_cap is not None:
+                    bound = np.minimum(bound, radius_cap)
+            cand_mask = dmin <= bound[:, None]
 
         cache = PageDecodeCache(tree)
         # "fetch" and "decode" spans open inside load(); all simulated
@@ -389,47 +428,37 @@ class QueryEngine:
         arena = None
         try:
             with obs_span("refine", disk=tree.disk) as refine_span:
-                # Phase 1 (workers, pure): per-query point-level bounds;
-                # collect the refinement set (quantized points whose
-                # lower bound is within the k-th smallest upper bound).
-                table = cache.page_table()
-                lost = (
-                    frozenset(cache.lost_pages)
-                    if tree._fault_ctx is not None
-                    else frozenset()
+                task = BatchTask(
+                    queries=queries,
+                    k=k,
+                    radii=radii,
+                    cand_mask=cand_mask,
+                    lost=(
+                        frozenset(cache.lost_pages)
+                        if tree._fault_ctx is not None
+                        else frozenset()
+                    ),
+                    metric=metric,
+                    table=cache.page_table(),
+                    counts=tree._counts,
+                    dmin=dmin,
+                    dmax=dmax,
+                    trace=tracer is not None,
                 )
-                counts = tree._counts
                 if self._ships_to_processes(n_queries):
                     arena = SharedArena.create()
                 if arena is not None:
-                    queries_s = arena.put(queries)
-                    cand_mask_s = arena.put(cand_mask)
-                    dmin_s = arena.put(dmin)
-                    dmax_s = arena.put(dmax)
-                    counts_s = arena.put(counts)
-                    table_s = table.frozen(arena)
+                    task = task.freeze(arena)
                     arena.seal()
-                else:
-                    queries_s, cand_mask_s = queries, cand_mask
-                    dmin_s, dmax_s, counts_s = dmin, dmax, counts
-                    table_s = table
-                plan_task = KnnPlanTask(
-                    queries=queries_s,
-                    k=k,
-                    cand_mask=cand_mask_s,
-                    lost=lost,
-                    metric=metric,
-                    table=table_s,
-                    trace=tracer is not None,
-                )
+                # Phase 1 (workers, pure): per-query point-level bounds;
+                # collect the refinement set (kNN: quantized points whose
+                # lower bound is within the k-th smallest upper bound).
                 plans, plan_io = self._worker_pool.map_sharded(
-                    plan_knn_shard, range(n_queries), task=plan_task
+                    plan_knn_shard if knn else plan_range_shard,
+                    range(n_queries),
+                    task=task,
                 )
-                if tracer is not None:
-                    _stitch_worker_records(
-                        tracer, "plan",
-                        [plan.pop("spans", ()) for plan in plans],
-                    )
+                _stitch_worker_records(tracer, "plan", plans)
                 all_requests: set[tuple[int, int]] = set()
                 for plan in plans:
                     all_requests.update(plan["refine"])
@@ -443,25 +472,12 @@ class QueryEngine:
                     refine_span.attrs["records"] = len(all_requests)
 
                 # Phase 3 (workers, pure): per-query result assembly.
-                assemble_task = KnnAssembleTask(
-                    queries=queries_s,
-                    k=k,
-                    metric=metric,
-                    table=table_s,
-                    plans=plans,
-                    points=points,
-                    counts=counts_s,
-                    dmin=dmin_s,
-                    dmax=dmax_s,
-                    trace=tracer is not None,
-                )
                 assembled, assemble_io = self._worker_pool.map_sharded(
-                    assemble_knn_shard, range(n_queries),
-                    task=assemble_task,
+                    assemble_knn_shard if knn else assemble_range_shard,
+                    range(n_queries),
+                    task=replace(task, plans=plans, points=points),
                 )
-                assembled = self._split_assemble_records(
-                    tracer, assembled
-                )
+                _stitch_worker_records(tracer, "assemble", assembled)
                 results = self._apply_degraded_effects(assembled)
                 if refine_span is not None and any(
                     r.degraded for r in results
@@ -477,196 +493,27 @@ class QueryEngine:
         self._observe_batch(stats, results, k=k)
         return BatchResult(queries=results, stats=stats)
 
-    def _guarantee_radii(self, dmax: np.ndarray, k: int) -> np.ndarray:
-        """See :func:`guarantee_radii` (over this tree's directory)."""
-        return guarantee_radii(dmax, self.tree._counts, k)
-
-    # ------------------------------------------------------------------
-    # Range batches
-    # ------------------------------------------------------------------
-    def range_batch(self, queries: np.ndarray, radius) -> BatchResult:
-        """Range search (all points within a radius) for a batch.
-
-        ``radius`` is one scalar shared by every query or an array of
-        per-query radii, shape ``(q,)``.  Degraded-mode semantics match
-        :meth:`knn_batch`: uncertain points whose cell overlaps the
-        radius are *included* (marked via ``certain``/``intervals``),
-        and wholly lost pages are reported with an infinite maxdist
-        because their contribution cannot be bounded.
-        """
-        tree = self.tree
-        tree._ensure_clean()
-        queries = checked_queries(tree, queries)
-        n_queries = queries.shape[0]
-        radii = np.broadcast_to(
-            np.asarray(radius, dtype=np.float64), (n_queries,)
-        )
-        if np.any(radii < 0) or not np.all(np.isfinite(radii)):
-            raise SearchError("radius must be non-negative and finite")
-        batch_id = next_query_id()
-        try:
-            # Serialized against maintenance sweeps, like knn_batch.
-            with tree._write_lock:
-                if tree._flight_recorder is not None:
-                    return observe_batch(
-                        tree._flight_recorder, tree, "range-batch", batch_id,
-                        lambda: self._range_batch_impl(queries, radii),
-                    )
-                return self._range_batch_impl(queries, radii)
-        except StorageError as exc:
-            raise_query_error(exc, tree, batch_id)
-
-    def _range_batch_impl(
-        self, queries: np.ndarray, radii: np.ndarray
-    ) -> BatchResult:
-        tree = self.tree
-        n_queries = queries.shape[0]
-        before = io_snapshot(tree)
-        pool_before = self._pool_counters()
-        fault_before = self._fault_counters()
-        metric = tree.metric
-        tracer = active_tracer()
-
-        with obs_span(
-            "directory-scan", disk=tree.disk, pages=tree.n_pages
-        ):
-            tree._charge_directory_scan()
-            dmin = mindist_matrix(
-                queries, tree._lowers, tree._uppers, metric
-            )
-        with obs_span("schedule", disk=tree.disk, queries=n_queries):
-            cand_mask = dmin <= radii[:, None]
-
-        cache = PageDecodeCache(tree)
-        # "fetch" and "decode" spans open inside load().
-        cache.load(np.flatnonzero(cand_mask.any(axis=0)))
-        cache.ensure_bounds()
-
-        arena = None
-        try:
-            with obs_span("refine", disk=tree.disk) as refine_span:
-                table = cache.page_table()
-                lost = (
-                    frozenset(cache.lost_pages)
-                    if tree._fault_ctx is not None
-                    else frozenset()
-                )
-                counts = tree._counts
-                radii = np.ascontiguousarray(radii)
-                if self._ships_to_processes(n_queries):
-                    arena = SharedArena.create()
-                if arena is not None:
-                    queries_s = arena.put(queries)
-                    radii_s = arena.put(radii)
-                    cand_mask_s = arena.put(cand_mask)
-                    dmin_s = arena.put(dmin)
-                    counts_s = arena.put(counts)
-                    table_s = table.frozen(arena)
-                    arena.seal()
-                else:
-                    queries_s, radii_s = queries, radii
-                    cand_mask_s, dmin_s, counts_s = cand_mask, dmin, counts
-                    table_s = table
-                plan_task = RangePlanTask(
-                    queries=queries_s,
-                    radii=radii_s,
-                    cand_mask=cand_mask_s,
-                    lost=lost,
-                    metric=metric,
-                    table=table_s,
-                    trace=tracer is not None,
-                )
-                plans, plan_io = self._worker_pool.map_sharded(
-                    plan_range_shard, range(n_queries), task=plan_task
-                )
-                if tracer is not None:
-                    _stitch_worker_records(
-                        tracer, "plan",
-                        [plan.pop("spans", ()) for plan in plans],
-                    )
-                all_requests: set[tuple[int, int]] = set()
-                for plan in plans:
-                    all_requests.update(plan["refine"])
-
-                exact_store = ExactBatchStore(tree)
-                points = exact_store.fetch_all(all_requests)
-                if refine_span is not None:
-                    refine_span.attrs["records"] = len(all_requests)
-
-                assemble_task = RangeAssembleTask(
-                    queries=queries_s,
-                    radii=radii_s,
-                    metric=metric,
-                    table=table_s,
-                    plans=plans,
-                    points=points,
-                    counts=counts_s,
-                    dmin=dmin_s,
-                    trace=tracer is not None,
-                )
-                assembled, assemble_io = self._worker_pool.map_sharded(
-                    assemble_range_shard, range(n_queries),
-                    task=assemble_task,
-                )
-                assembled = self._split_assemble_records(
-                    tracer, assembled
-                )
-                results = self._apply_degraded_effects(assembled)
-                if refine_span is not None and any(
-                    r.degraded for r in results
-                ):
-                    refine_span.attrs["degraded"] = True
-        finally:
-            if arena is not None:
-                arena.dispose()
-        stats = self._batch_stats(
-            n_queries, before, pool_before, fault_before, cache,
-            exact_store, plan_io.merged_with(assemble_io),
-        )
-        self._observe_batch(stats, results, k=None)
-        return BatchResult(queries=results, stats=stats)
-
     # ------------------------------------------------------------------
     # Shared accounting
     # ------------------------------------------------------------------
-    def _split_assemble_records(self, tracer, assembled) -> list:
-        """Peel worker span records off assemble-phase outputs.
-
-        With tracing on, assemble kernels return ``(result,
-        n_intervals, records)`` triples; this stitches the records into
-        the live trace (query order) and hands back the plain pairs
-        the accounting code expects.
-        """
-        if tracer is None:
-            return assembled
-        _stitch_worker_records(
-            tracer, "assemble",
-            [entry[2] if len(entry) > 2 else () for entry in assembled],
-        )
-        return [entry[:2] for entry in assembled]
-
-    def _apply_degraded_effects(
-        self, assembled: list[tuple[BatchQueryResult, int]]
-    ) -> list[BatchQueryResult]:
+    def _apply_degraded_effects(self, assembled: list[dict]) -> list:
         """Apply each query's degraded-mode side effects, in query order.
 
         Workers return pure results plus the count of interval
         fallbacks they computed; this coordinator pass feeds the fault
-        context's session counters and the registry instruments exactly
-        as the serial engine did, so counter values cannot depend on
-        scheduling -- of threads or of processes.
+        context's session counters (and through them the registry
+        instruments) exactly as the serial engine did, so counter
+        values cannot depend on scheduling -- of threads or of
+        processes.
         """
         ctx = self.tree._fault_ctx
         results = []
-        for result, n_intervals in assembled:
-            if n_intervals:
-                ctx.degraded_results += n_intervals
-                if REGISTRY.enabled:
-                    DEGRADED_RESULTS.inc(n_intervals)
+        for item in assembled:
+            result = item["result"]
+            if item["n_intervals"]:
+                ctx.degrade(item["n_intervals"])
             if result.lost_pages:
-                ctx.lost_pages += len(result.lost_pages)
-                if REGISTRY.enabled:
-                    LOST_PAGES.inc(len(result.lost_pages))
+                ctx.lose_pages(len(result.lost_pages))
             results.append(result)
         return results
 
@@ -691,7 +538,7 @@ class QueryEngine:
         exact_store, worker_io: IOStats | None = None,
     ) -> BatchStats:
         tree = self.tree
-        io = io_delta(before, io_snapshot(tree))
+        io = io_delta(before, io_snapshot(tree.disk))
         if worker_io is not None:
             # Workers charge no simulated I/O by design (the ledgers
             # exist so the merge discipline is exercised and pinned);

@@ -16,21 +16,27 @@ these functions, so thread/process/serial execution is bit-identical by
 construction; the equivalence tests in ``tests/test_engine_parallel.py``
 pin it.
 
-Large arrays travel by reference when the engine freezes them into a
-:class:`~repro.engine.shm.SharedArena`: any array field of a task (or
-of its :class:`PageTable`) may arrive as an
-:class:`~repro.engine.shm.ArrayRef`, and each kernel first calls the
-task's ``resolved()`` to materialize zero-copy views.
+One :class:`BatchTask` carries a batch through both phases; kNN and
+range batches differ only in its ``k`` / ``radii`` field.  Large arrays
+travel by reference when the engine freezes the task into a
+:class:`~repro.engine.shm.SharedArena`: :meth:`BatchTask.freeze` swaps
+every array field (and every array of its :class:`PageTable`) for an
+:class:`~repro.engine.shm.ArrayRef`, and each kernel first calls
+:meth:`BatchTask.resolve` to materialize zero-copy views.  The four
+entry points (plan / assemble x kNN / range) run one per-query shard
+loop; a lost record's cell interval comes from
+:func:`~repro.core.search.cell_interval`, the same function the
+single-query searches fall back to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from repro.core.search import KBest, certain_mask
-from repro.engine.shm import resolve
+from repro.core.search import KBest, cell_interval, degraded_fields
+from repro.engine.shm import ArrayRef, resolve
 from repro.engine.stats import QueryStats
 from repro.geometry.mbr import maxdist_to_boxes, mindist_to_boxes
 from repro.obs.tracing import SpanRecord, ledger_state
@@ -38,11 +44,8 @@ from repro.storage.runtime_faults import LostPage
 
 __all__ = [
     "BatchQueryResult",
+    "BatchTask",
     "PageTable",
-    "KnnPlanTask",
-    "KnnAssembleTask",
-    "RangePlanTask",
-    "RangeAssembleTask",
     "plan_knn_shard",
     "plan_range_shard",
     "assemble_knn_shard",
@@ -72,16 +75,24 @@ class BatchQueryResult:
     degraded: bool = False
 
 
-def _freeze(value, arena):
-    return arena.put(value) if isinstance(value, np.ndarray) else value
-
-
-def _freeze_pair(pair, arena):
-    return (_freeze(pair[0], arena), _freeze(pair[1], arena))
-
-
-def _resolve_pair(pair):
-    return (resolve(pair[0]), resolve(pair[1]))
+def _map_arrays(value, fn):
+    """``fn`` over an array or ref, over each one in a tuple, or over
+    every array of a :class:`PageTable`; anything else passes through."""
+    if isinstance(value, (np.ndarray, ArrayRef)):
+        return fn(value)
+    if isinstance(value, tuple):
+        return tuple(_map_arrays(v, fn) for v in value)
+    if isinstance(value, PageTable):
+        return PageTable(
+            **{
+                f.name: {
+                    page: _map_arrays(entry, fn)
+                    for page, entry in getattr(value, f.name).items()
+                }
+                for f in fields(value)
+            }
+        )
+    return value
 
 
 @dataclass
@@ -101,158 +112,52 @@ class PageTable:
     bounds: dict[int, tuple]
     part_ids: dict[int, object]
 
-    def frozen(self, arena) -> "PageTable":
-        """A copy whose arrays live in ``arena`` (ships as refs)."""
-        return PageTable(
-            exact={
-                p: _freeze_pair(v, arena) for p, v in self.exact.items()
-            },
-            bounds={
-                p: _freeze_pair(v, arena) for p, v in self.bounds.items()
-            },
-            part_ids={
-                p: _freeze(v, arena) for p, v in self.part_ids.items()
-            },
-        )
-
-    def resolved(self) -> "PageTable":
-        """A copy with every :class:`ArrayRef` materialized as a view."""
-        return PageTable(
-            exact={p: _resolve_pair(v) for p, v in self.exact.items()},
-            bounds={p: _resolve_pair(v) for p, v in self.bounds.items()},
-            part_ids={p: resolve(v) for p, v in self.part_ids.items()},
-        )
-
 
 @dataclass
-class KnnPlanTask:
-    """Inputs of the kNN candidate-bounding phase (phase 1)."""
+class BatchTask:
+    """Inputs of a batch's per-query phases, kNN or range.
+
+    Exactly one of ``k`` (kNN) and ``radii`` (range) is set.  The plan
+    phase reads the candidate masks; the assemble phase runs on a copy
+    that also carries the plan phase's output and the fetched records.
+    """
 
     queries: object  # (q, d) array or ArrayRef
-    k: int
+    k: int | None  # kNN: neighbors per query
+    radii: object  # range: (q,) array or ArrayRef
     cand_mask: object  # (q, pages) bool array or ArrayRef
     lost: frozenset  # pages the coordinator could not read
     metric: object  # repro.geometry.metrics.Metric (stateless)
     table: PageTable
-    trace: bool = False  # emit per-query SpanRecords
-
-    def frozen(self, arena) -> "KnnPlanTask":
-        return replace(
-            self,
-            queries=_freeze(self.queries, arena),
-            cand_mask=_freeze(self.cand_mask, arena),
-            table=self.table.frozen(arena),
-        )
-
-    def resolved(self) -> "KnnPlanTask":
-        return replace(
-            self,
-            queries=resolve(self.queries),
-            cand_mask=resolve(self.cand_mask),
-            table=self.table.resolved(),
-        )
-
-
-@dataclass
-class KnnAssembleTask:
-    """Inputs of the kNN result-assembly phase (phase 3)."""
-
-    queries: object
-    k: int
-    metric: object
-    table: PageTable
-    plans: list  # phase-1 output, one dict per query
-    points: dict  # (page, local) -> (coords, id); fetched records
     counts: object  # per-page point counts (LostPage reporting)
     dmin: object  # (q, pages) directory mindist matrix
-    dmax: object  # (q, pages) directory maxdist matrix
+    dmax: object  # (q, pages) directory maxdist matrix (kNN only)
     trace: bool = False  # emit per-query SpanRecords
+    plans: list | None = None  # phase-1 output, one dict per query
+    points: dict | None = None  # (page, local) -> (coords, id); fetched
 
-    def frozen(self, arena) -> "KnnAssembleTask":
+    def _map_arrays(self, fn) -> "BatchTask":
         return replace(
             self,
-            queries=_freeze(self.queries, arena),
-            table=self.table.frozen(arena),
-            counts=_freeze(self.counts, arena),
-            dmin=_freeze(self.dmin, arena),
-            dmax=_freeze(self.dmax, arena),
+            **{
+                f.name: _map_arrays(getattr(self, f.name), fn)
+                for f in fields(self)
+            },
         )
 
-    def resolved(self) -> "KnnAssembleTask":
-        return replace(
-            self,
-            queries=resolve(self.queries),
-            table=self.table.resolved(),
-            counts=resolve(self.counts),
-            dmin=resolve(self.dmin),
-            dmax=resolve(self.dmax),
+    def freeze(self, arena) -> "BatchTask":
+        """A copy whose arrays live in ``arena`` (they ship as refs).
+
+        Only array fields and the page table's arrays move; ``plans``
+        and ``points`` are containers and travel inline.
+        """
+        return self._map_arrays(
+            lambda a: arena.put(a) if isinstance(a, np.ndarray) else a
         )
 
-
-@dataclass
-class RangePlanTask:
-    """Inputs of the range candidate-classification phase."""
-
-    queries: object
-    radii: object  # (q,) array or ArrayRef
-    cand_mask: object
-    lost: frozenset
-    metric: object
-    table: PageTable
-    trace: bool = False  # emit per-query SpanRecords
-
-    def frozen(self, arena) -> "RangePlanTask":
-        return replace(
-            self,
-            queries=_freeze(self.queries, arena),
-            radii=_freeze(self.radii, arena),
-            cand_mask=_freeze(self.cand_mask, arena),
-            table=self.table.frozen(arena),
-        )
-
-    def resolved(self) -> "RangePlanTask":
-        return replace(
-            self,
-            queries=resolve(self.queries),
-            radii=resolve(self.radii),
-            cand_mask=resolve(self.cand_mask),
-            table=self.table.resolved(),
-        )
-
-
-@dataclass
-class RangeAssembleTask:
-    """Inputs of the range result-assembly phase."""
-
-    queries: object
-    radii: object
-    metric: object
-    table: PageTable
-    plans: list
-    points: dict
-    counts: object
-    dmin: object
-    trace: bool = False  # emit per-query SpanRecords
-
-    def frozen(self, arena) -> "RangeAssembleTask":
-        return replace(
-            self,
-            queries=_freeze(self.queries, arena),
-            radii=_freeze(self.radii, arena),
-            table=self.table.frozen(arena),
-            counts=_freeze(self.counts, arena),
-            dmin=_freeze(self.dmin, arena),
-        )
-
-    def resolved(self) -> "RangeAssembleTask":
-        return replace(
-            self,
-            queries=resolve(self.queries),
-            radii=resolve(self.radii),
-            table=self.table.resolved(),
-            counts=resolve(self.counts),
-            dmin=resolve(self.dmin),
-        )
+    def resolve(self) -> "BatchTask":
+        """A copy with every :class:`ArrayRef` materialized as a view."""
+        return self._map_arrays(resolve)
 
 
 # ----------------------------------------------------------------------
@@ -276,8 +181,9 @@ def _candidates(cand_row, lost_set):
     return cand, lost
 
 
-def plan_knn_query(query, k, pages, table, metric) -> dict:
-    """Bound every candidate point of one query; pick refinements."""
+def plan_knn_query(task: BatchTask, i: int, pages) -> dict:
+    """Bound every candidate point of query ``i``; pick refinements."""
+    query, k, table, metric = task.queries[i], task.k, task.table, task.metric
     exact_dists: list[np.ndarray] = []
     exact_ids: list[np.ndarray] = []
     quant_lowers: list[np.ndarray] = []
@@ -329,8 +235,10 @@ def plan_knn_query(query, k, pages, table, metric) -> dict:
     }
 
 
-def plan_range_query(query, radius, pages, table, metric) -> dict:
-    """Classify one query's candidate points for a range search."""
+def plan_range_query(task: BatchTask, i: int, pages) -> dict:
+    """Classify query ``i``'s candidate points for a range search."""
+    query, table, metric = task.queries[i], task.table, task.metric
+    radius = float(task.radii[i])
     exact_ids: list[np.ndarray] = []
     exact_dists: list[np.ndarray] = []
     refine: list[tuple[int, int]] = []
@@ -385,265 +293,166 @@ def refined_distances(query, refine, points, metric) -> dict:
     return {key: float(d) for key, d in zip(avail, dists)}
 
 
-def interval_for(query, key, table, metric) -> tuple[int, float, float]:
-    """A point's cell interval (its record was unreadable).
+def _refine(task: BatchTask, i: int, plan: dict):
+    """Query ``i``'s refinements as ``(distance, id, exact)`` triples.
 
-    Pure: returns ``(id, mindist, maxdist)`` -- the interval provably
-    contains the exact distance, and ``maxdist`` is a sound
-    conservative ranking distance.  Fault-context counters and registry
-    instruments are applied later, on the coordinator, in query order.
+    A fetched record contributes its exact distance; an unreadable one
+    its cell interval's sound ``maxdist``, with the interval recorded
+    in the returned ``intervals`` map.  Pure: fault-context counters
+    and registry instruments are applied later, on the coordinator, in
+    query order.
     """
-    page, local = key
-    lo_box, up_box = table.bounds[page]
-    lo = float(
-        mindist_to_boxes(
-            query, lo_box[local : local + 1],
-            up_box[local : local + 1], metric,
-        )[0]
+    query = task.queries[i]
+    dist_of = refined_distances(
+        query, plan["refine"], task.points, task.metric
     )
-    hi = float(
-        maxdist_to_boxes(
-            query, lo_box[local : local + 1],
-            up_box[local : local + 1], metric,
-        )[0]
+    refined = []
+    intervals: dict[int, tuple[float, float]] = {}
+    for key in plan["refine"]:
+        if key in dist_of:
+            refined.append((dist_of[key], task.points[key][1], True))
+            continue
+        page, local = key
+        lo, hi = cell_interval(
+            query, task.table.bounds[page], local, task.metric
+        )
+        pid = int(task.table.part_ids[page][local])
+        intervals[pid] = (lo, hi)
+        refined.append((hi, pid, False))
+    return refined, intervals
+
+
+def _knn_answer(task: BatchTask, i: int, plan: dict, refined):
+    best = KBest(task.k)
+    best.offer_many(plan["exact_dists"], plan["exact_ids"])
+    for dist, pid, _exact in refined:
+        best.offer(dist, pid)
+    return best.sorted_results()
+
+
+def _range_answer(task: BatchTask, i: int, plan: dict, refined):
+    # An unreadable record whose cell overlaps the ball is included
+    # conservatively at its cell maxdist, flagged uncertain.
+    radius = float(task.radii[i])
+    kept = [(d, pid) for d, pid, exact in refined if not exact or d <= radius]
+    found_ids = np.concatenate(
+        [plan["exact_ids"], np.array([p for _d, p in kept], dtype=np.int64)]
     )
-    return int(table.part_ids[page][local]), lo, hi
+    found_dists = np.concatenate(
+        [
+            plan["exact_dists"],
+            np.array([d for d, _p in kept], dtype=np.float64),
+        ]
+    )
+    order = np.argsort(found_dists, kind="stable")
+    return found_ids[order], found_dists[order]
 
 
-def assemble_result(
-    ids, dists, intervals, lost_records, stats
-) -> BatchQueryResult:
-    """Build one BatchQueryResult, attaching degraded-mode fields.
+def _plan(task: BatchTask, i: int, plan_query) -> tuple[dict, dict]:
+    """Phase 1 for one query: its plan dict plus span attributes."""
+    cand, lost = _candidates(task.cand_mask[i], task.lost)
+    plan = plan_query(task, i, cand)
+    plan["lost"] = lost
+    plan["candidate_pages"] = int(np.count_nonzero(task.cand_mask[i]))
+    return plan, {
+        "pages": plan["candidate_pages"],
+        "points": plan["candidate_points"],
+        "refine": len(plan["refine"]),
+        "lost": len(lost),
+    }
 
-    Pure (safe in workers): shared-state side effects happen on the
-    coordinator, in query order.
+
+def _assemble(task: BatchTask, i: int, answer) -> tuple[dict, dict]:
+    """Phase 3 for one query: its result plus span attributes.
+
+    The output carries the count of interval fallbacks computed; the
+    coordinator applies the degraded-mode side effects in query order.
     """
-    degraded = bool(intervals or lost_records)
-    certain = None
-    result_intervals = None
-    if degraded:
-        certain = certain_mask(ids, intervals)
-        result_intervals = {
-            pid: intervals[pid]
-            for pid in ids.tolist()
-            if pid in intervals
-        }
-    return BatchQueryResult(
+    plan = task.plans[i]
+    refined, intervals = _refine(task, i, plan)
+    ids, dists = answer(task, i, plan, refined)
+    # A range query's lost page may hold any number of in-range
+    # points: its contribution cannot be bounded (no maxdist matrix).
+    lost_records = tuple(
+        LostPage(
+            page=int(p),
+            n_points=int(task.counts[p]),
+            mindist=float(task.dmin[i, p]),
+            maxdist=(
+                float("inf") if task.dmax is None else float(task.dmax[i, p])
+            ),
+        )
+        for p in plan["lost"]
+    )
+    result = BatchQueryResult(
         ids=ids,
         distances=dists,
-        stats=stats,
-        certain=certain,
-        intervals=result_intervals,
-        lost_pages=lost_records,
-        degraded=degraded,
+        stats=QueryStats(
+            candidate_pages=plan["candidate_pages"],
+            candidate_points=plan["candidate_points"],
+            refinements=len(plan["refine"]),
+        ),
+        **degraded_fields(ids, intervals, lost_records),
     )
+    return {"result": result, "n_intervals": len(intervals)}, {
+        "refine": len(plan["refine"]),
+        "intervals": len(intervals),
+        "lost": len(lost_records),
+    }
 
 
 # ----------------------------------------------------------------------
 # Shard entry points (what the worker pool runs)
 # ----------------------------------------------------------------------
 #
-# When ``task.trace`` is set, each entry point also emits one
-# picklable :class:`~repro.obs.tracing.SpanRecord` per query, windowed
-# on the worker's private ledger (whose deltas the determinism
-# contract keeps at zero -- so records are identical for any worker
-# count or backend).  Plan records ride inside the plan dicts under
-# ``"spans"``; assemble outputs grow from pairs to
-# ``(result, n_intervals, records)`` triples.  The coordinator pops
-# them off and stitches them into the ambient tracer in query order.
+# Every entry point returns one dict per query.  When ``task.trace`` is
+# set, each also carries one picklable
+# :class:`~repro.obs.tracing.SpanRecord` under ``"spans"``, windowed on
+# the worker's private ledger (whose deltas the determinism contract
+# keeps at zero -- so records are identical for any worker count or
+# backend).  The coordinator pops them off and stitches them into the
+# ambient tracer in query order.
 
-def plan_knn_shard(task: KnnPlanTask, indices, _ledger) -> list[dict]:
+def _per_query(task: BatchTask, indices, ledger, span, phase, fn) -> list:
+    """Run ``phase(task, i, fn)`` for each query index of one shard."""
+    task = task.resolve()
+    out = []
+    for i in indices:
+        before = ledger_state(ledger) if task.trace else None
+        item, attrs = phase(task, i, fn)
+        if task.trace:
+            item["spans"] = (
+                SpanRecord.capture(
+                    span, ledger, before, query=int(i), **attrs
+                ),
+            )
+        out.append(item)
+    return out
+
+
+def plan_knn_shard(task: BatchTask, indices, _ledger) -> list[dict]:
     """Phase 1 (pure): per-query point-level bounds + refinement picks."""
-    task = task.resolved()
-    out = []
-    for i in indices:
-        before = ledger_state(_ledger) if task.trace else None
-        cand, lost = _candidates(task.cand_mask[i], task.lost)
-        plan = plan_knn_query(
-            task.queries[i], task.k, cand, task.table, task.metric
-        )
-        plan["lost"] = lost
-        plan["candidate_pages"] = int(np.count_nonzero(task.cand_mask[i]))
-        if task.trace:
-            plan["spans"] = (
-                SpanRecord.capture(
-                    "plan-query",
-                    _ledger,
-                    before,
-                    query=int(i),
-                    pages=plan["candidate_pages"],
-                    points=plan["candidate_points"],
-                    refine=len(plan["refine"]),
-                    lost=len(lost),
-                ),
-            )
-        out.append(plan)
-    return out
+    return _per_query(
+        task, indices, _ledger, "plan-query", _plan, plan_knn_query
+    )
 
 
-def plan_range_shard(task: RangePlanTask, indices, _ledger) -> list[dict]:
+def plan_range_shard(task: BatchTask, indices, _ledger) -> list[dict]:
     """Phase 1 (pure): per-query candidate classification."""
-    task = task.resolved()
-    out = []
-    for i in indices:
-        before = ledger_state(_ledger) if task.trace else None
-        cand, lost = _candidates(task.cand_mask[i], task.lost)
-        plan = plan_range_query(
-            task.queries[i],
-            float(task.radii[i]),
-            cand,
-            task.table,
-            task.metric,
-        )
-        plan["lost"] = lost
-        plan["candidate_pages"] = int(np.count_nonzero(task.cand_mask[i]))
-        if task.trace:
-            plan["spans"] = (
-                SpanRecord.capture(
-                    "plan-query",
-                    _ledger,
-                    before,
-                    query=int(i),
-                    pages=plan["candidate_pages"],
-                    points=plan["candidate_points"],
-                    refine=len(plan["refine"]),
-                    lost=len(lost),
-                ),
-            )
-        out.append(plan)
-    return out
+    return _per_query(
+        task, indices, _ledger, "plan-query", _plan, plan_range_query
+    )
 
 
-def assemble_knn_shard(task: KnnAssembleTask, indices, _ledger) -> list:
-    """Phase 3 (pure): per-query kNN result assembly.
-
-    Returns ``(result, n_intervals)`` pairs; the coordinator applies
-    the degraded-mode side effects in query order afterwards.
-    """
-    task = task.resolved()
-    out = []
-    for i in indices:
-        before = ledger_state(_ledger) if task.trace else None
-        plan = task.plans[i]
-        best = KBest(task.k)
-        intervals: dict[int, tuple[float, float]] = {}
-        best.offer_many(plan["exact_dists"], plan["exact_ids"])
-        dist_of = refined_distances(
-            task.queries[i], plan["refine"], task.points, task.metric
-        )
-        for key in plan["refine"]:
-            if key in dist_of:
-                best.offer(dist_of[key], task.points[key][1])
-            else:
-                pid, lo, hi = interval_for(
-                    task.queries[i], key, task.table, task.metric
-                )
-                intervals[pid] = (lo, hi)
-                best.offer(hi, pid)
-        ids, dists = best.sorted_results()
-        lost_records = tuple(
-            LostPage(
-                page=int(p),
-                n_points=int(task.counts[p]),
-                mindist=float(task.dmin[i, p]),
-                maxdist=float(task.dmax[i, p]),
-            )
-            for p in plan["lost"]
-        )
-        result = assemble_result(
-            ids, dists, intervals, lost_records,
-            QueryStats(
-                candidate_pages=plan["candidate_pages"],
-                candidate_points=plan["candidate_points"],
-                refinements=len(plan["refine"]),
-            ),
-        )
-        if task.trace:
-            record = SpanRecord.capture(
-                "assemble-query",
-                _ledger,
-                before,
-                query=int(i),
-                refine=len(plan["refine"]),
-                intervals=len(intervals),
-                lost=len(lost_records),
-            )
-            out.append((result, len(intervals), (record,)))
-        else:
-            out.append((result, len(intervals)))
-    return out
+def assemble_knn_shard(task: BatchTask, indices, _ledger) -> list[dict]:
+    """Phase 3 (pure): per-query kNN result assembly."""
+    return _per_query(
+        task, indices, _ledger, "assemble-query", _assemble, _knn_answer
+    )
 
 
-def assemble_range_shard(task: RangeAssembleTask, indices, _ledger) -> list:
+def assemble_range_shard(task: BatchTask, indices, _ledger) -> list[dict]:
     """Phase 3 (pure): per-query range result assembly."""
-    task = task.resolved()
-    out = []
-    for i in indices:
-        before = ledger_state(_ledger) if task.trace else None
-        plan = task.plans[i]
-        intervals: dict[int, tuple[float, float]] = {}
-        ref_ids: list[int] = []
-        ref_dists: list[float] = []
-        dist_of = refined_distances(
-            task.queries[i], plan["refine"], task.points, task.metric
-        )
-        radius = float(task.radii[i])
-        for key in plan["refine"]:
-            if key in dist_of:
-                dist = dist_of[key]
-                if dist <= radius:
-                    ref_ids.append(task.points[key][1])
-                    ref_dists.append(dist)
-            else:
-                # Unreadable record whose cell overlaps the ball:
-                # include it conservatively at its cell maxdist,
-                # flagged uncertain.
-                pid, lo, hi = interval_for(
-                    task.queries[i], key, task.table, task.metric
-                )
-                intervals[pid] = (lo, hi)
-                ref_ids.append(pid)
-                ref_dists.append(hi)
-        found_ids = np.concatenate(
-            [plan["exact_ids"], np.array(ref_ids, dtype=np.int64)]
-        )
-        found_dists = np.concatenate(
-            [plan["exact_dists"], np.array(ref_dists, dtype=np.float64)]
-        )
-        order = np.argsort(found_dists, kind="stable")
-        # A lost page may hold any number of in-range points; its
-        # contribution cannot be bounded.
-        lost_records = tuple(
-            LostPage(
-                page=int(p),
-                n_points=int(task.counts[p]),
-                mindist=float(task.dmin[i, p]),
-                maxdist=float("inf"),
-            )
-            for p in plan["lost"]
-        )
-        result = assemble_result(
-            found_ids[order],
-            found_dists[order],
-            intervals,
-            lost_records,
-            QueryStats(
-                candidate_pages=plan["candidate_pages"],
-                candidate_points=plan["candidate_points"],
-                refinements=len(plan["refine"]),
-            ),
-        )
-        if task.trace:
-            record = SpanRecord.capture(
-                "assemble-query",
-                _ledger,
-                before,
-                query=int(i),
-                refine=len(plan["refine"]),
-                intervals=len(intervals),
-                lost=len(lost_records),
-            )
-            out.append((result, len(intervals), (record,)))
-        else:
-            out.append((result, len(intervals)))
-    return out
+    return _per_query(
+        task, indices, _ledger, "assemble-query", _assemble, _range_answer
+    )

@@ -62,8 +62,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.search import (
-    certain_mask,
     checked_queries,
+    checked_radius,
+    degraded_fields,
     next_query_id,
 )
 from repro.core.tree import IQTree
@@ -468,14 +469,7 @@ class ShardRouter:
     def range_batch(self, queries: np.ndarray, radius) -> ShardedBatchResult:
         """Scatter-gather range search; one shard-skip rule: distance."""
         queries = checked_queries(self.shards[0].tree, queries)
-        n_queries = queries.shape[0]
-        radii = np.ascontiguousarray(
-            np.broadcast_to(
-                np.asarray(radius, dtype=np.float64), (n_queries,)
-            )
-        )
-        if np.any(radii < 0) or not np.all(np.isfinite(radii)):
-            raise SearchError("radius must be non-negative and finite")
+        radii = checked_radius(radius, (queries.shape[0],))
         if self._flight_recorder is not None:
             return observe_batch(
                 self._flight_recorder, self, "range-batch",
@@ -695,17 +689,6 @@ class ShardRouter:
         else:
             ids = np.empty(0, dtype=np.int64)
             dists = np.empty(0, dtype=np.float64)
-        lost = tuple(sorted(merge.lost, key=lambda lp: lp.page))
-        degraded = merge.degraded or bool(lost)
-        certain = None
-        intervals = None
-        if degraded:
-            certain = certain_mask(ids, merge.intervals)
-            intervals = {
-                pid: merge.intervals[pid]
-                for pid in ids.tolist()
-                if pid in merge.intervals
-            }
         return BatchQueryResult(
             ids=ids,
             distances=dists,
@@ -714,8 +697,10 @@ class ShardRouter:
                 candidate_points=merge.points,
                 refinements=merge.refinements,
             ),
-            certain=certain,
-            intervals=intervals,
-            lost_pages=lost,
-            degraded=degraded,
+            **degraded_fields(
+                ids,
+                merge.intervals,
+                sorted(merge.lost, key=lambda lp: lp.page),
+                degraded=merge.degraded,
+            ),
         )

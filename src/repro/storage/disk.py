@@ -31,7 +31,7 @@ from repro.obs.instruments import (
     REGISTRY,
 )
 
-__all__ = ["DiskModel", "IOStats", "SimulatedDisk"]
+__all__ = ["DiskModel", "IOStats", "SimulatedDisk", "io_snapshot", "io_delta"]
 
 
 @dataclass(frozen=True)
@@ -162,21 +162,33 @@ class IOStats:
             elapsed=self.elapsed + other.elapsed,
         )
 
-    def as_dict(self) -> dict:
-        """The four counters as a plain dict (JSON/trace export)."""
-        return {
-            "seeks": self.seeks,
-            "blocks_read": self.blocks_read,
-            "blocks_overread": self.blocks_overread,
-            "elapsed": self.elapsed,
-        }
-
     def reset(self) -> None:
         """Zero all counters."""
         self.seeks = 0
         self.blocks_read = 0
         self.blocks_overread = 0
         self.elapsed = 0.0
+
+
+def io_snapshot(disk: "SimulatedDisk") -> IOStats:
+    """Copy of the disk's ledger (for before/after deltas)."""
+    s = disk.stats
+    return IOStats(
+        seeks=s.seeks,
+        blocks_read=s.blocks_read,
+        blocks_overread=s.blocks_overread,
+        elapsed=s.elapsed,
+    )
+
+
+def io_delta(before: IOStats, after: IOStats) -> IOStats:
+    """Ledger difference ``after - before``."""
+    return IOStats(
+        seeks=after.seeks - before.seeks,
+        blocks_read=after.blocks_read - before.blocks_read,
+        blocks_overread=after.blocks_overread - before.blocks_overread,
+        elapsed=after.elapsed - before.elapsed,
+    )
 
 
 class SimulatedDisk:

@@ -316,10 +316,6 @@ class WriteAheadJournal:
     def n_records(self) -> int:
         return len(self._records)
 
-    @property
-    def size_bytes(self) -> int:
-        return self._size
-
     def records(self) -> tuple[JournalRecord, ...]:
         return tuple(self._records)
 

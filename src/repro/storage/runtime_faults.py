@@ -46,8 +46,10 @@ from repro.exceptions import (
     TransientReadError,
 )
 from repro.obs.instruments import (
+    DEGRADED_RESULTS,
     FAULT_QUARANTINES,
     FAULT_RETRIES,
+    LOST_PAGES,
     READ_FAULTS,
     REGISTRY,
 )
@@ -291,6 +293,18 @@ class FaultContext:
         if REGISTRY.enabled:
             FAULT_QUARANTINES.inc()
 
+    def degrade(self, n: int = 1) -> None:
+        """Count ``n`` results answered by a cell interval."""
+        self.degraded_results += n
+        if REGISTRY.enabled:
+            DEGRADED_RESULTS.inc(n)
+
+    def lose_pages(self, n: int = 1) -> None:
+        """Count ``n`` second-level pages reported lost to a query."""
+        self.lost_pages += n
+        if REGISTRY.enabled:
+            LOST_PAGES.inc(n)
+
     def run(self, fn: Callable[[], "object"], disk):
         """Run one timed read under the retry policy.
 
@@ -329,7 +343,7 @@ class FaultContext:
 def fetch_with_quarantine(
     file,
     disk,
-    ctx: FaultContext,
+    ctx: FaultContext | None,
     indices: Sequence[int],
 ) -> tuple[dict[int, bytes], list[int]]:
     """Batched read that survives permanent block failures.
@@ -342,7 +356,11 @@ def fetch_with_quarantine(
     during this fetch).  Termination is guaranteed because every failed
     round quarantines at least one new address -- a round that fails
     without growing the quarantine re-raises instead of looping.
+    Without a context it is a plain ``read_batched`` that loses nothing
+    (failures propagate).
     """
+    if ctx is None:
+        return file.read_batched(indices), []
     wanted = sorted(set(indices))
     lost: set[int] = set()
     while True:

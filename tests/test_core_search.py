@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.search import range_search
 from repro.core.tree import IQTree
+from repro.exceptions import SearchError
 from repro.geometry.metrics import EUCLIDEAN, MAXIMUM
 from repro.storage.disk import SimulatedDisk
 from tests.conftest import brute_force_knn
@@ -155,6 +157,19 @@ class TestRangeSearch:
         q = np.full(8, 0.5)
         res = tree.range_query(q, 10.0)
         assert res.ids.size == tree.n_points
+
+    @pytest.mark.parametrize(
+        "radius", [float("nan"), float("inf"), -1.0]
+    )
+    def test_rejects_radius_like_batch(self, tree, radius):
+        """Single-query and batch range search share one validator: a
+        NaN radius used to return an empty answer and an infinite one
+        every point, where ``range_batch`` rejects both."""
+        q = np.full(8, 0.5)
+        with pytest.raises(SearchError, match="non-negative and finite"):
+            range_search(tree, q, radius)
+        with pytest.raises(SearchError, match="non-negative and finite"):
+            tree.query_engine().range_batch(q[None, :], radius)
 
     def test_uses_batched_fetch(self, tree):
         q = np.full(8, 0.5)

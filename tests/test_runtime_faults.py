@@ -57,16 +57,25 @@ def faulted_tree(points, *, bits=4):
     return IQTree.build(points, disk=disk, optimize=False, fixed_bits=bits)
 
 
-def observed_address(tree, level, query, k=3):
-    """First disk address of ``level`` a pristine query actually reads."""
+def observed_addresses(tree, level, query, k=3):
+    """Disk addresses of ``level`` a pristine query reads, ascending."""
     observer = ReadFaultInjector()
     tree.disk.install_fault_injector(observer)
     tree.nearest(query, k=k)
     tree.disk.clear_fault_injector()
-    for address in sorted(observer.attempts_seen):
-        if locate_address(tree, address)[0] == level:
-            return address
-    raise AssertionError(f"query never read the {level} level")
+    addresses = [
+        address
+        for address in sorted(observer.attempts_seen)
+        if locate_address(tree, address)[0] == level
+    ]
+    if not addresses:
+        raise AssertionError(f"query never read the {level} level")
+    return addresses
+
+
+def observed_address(tree, level, query, k=3):
+    """First disk address of ``level`` a pristine query actually reads."""
+    return observed_addresses(tree, level, query, k=k)[0]
 
 
 class TestCorruptBytes:
@@ -472,20 +481,51 @@ class TestEngineDegraded:
     def test_range_batch_matches_single_query_degradation(
         self, uniform_points
     ):
+        self.check_single_query_degradation_matches(uniform_points, "range")
+
+    def test_knn_batch_matches_single_query_degradation(
+        self, uniform_points
+    ):
+        self.check_single_query_degradation_matches(uniform_points, "knn")
+
+    @staticmethod
+    def check_single_query_degradation_matches(uniform_points, kind):
+        """Single-query and batch searches degrade identically: for the
+        same faulted record they report bit-equal ids, distances,
+        ``certain`` masks and cell ``intervals`` (one interval kernel
+        serves both paths), and every interval holds the truth."""
         tree = faulted_tree(uniform_points[:600])
         queries = uniform_points[712:715]
         engine = tree.query_engine()
-        address = observed_address(tree, "exact", queries[0])
+        if kind == "range":
+            victims = [observed_address(tree, "exact", queries[0])]
+        else:
+            # Every exact block the pristine query reads, so its own
+            # top-k comes back as cell intervals.
+            victims = observed_addresses(tree, "exact", queries[0])
         inj = ReadFaultInjector()
-        inj.fail_always(address)
+        for address in victims:
+            inj.fail_always(address)
         tree.disk.install_fault_injector(inj)
         tree.use_fault_tolerance()
-        res = engine.range_batch(queries, 0.8)
-        assert any(r.degraded for r in res.queries)
-        for i, r in enumerate(res.queries):
-            if not r.intervals:
-                continue
-            for pid, (lo, hi) in r.intervals.items():
+        if kind == "range":
+            res = engine.range_batch(queries, 0.8)
+            single = [tree.range_query(q, 0.8) for q in queries]
+        else:
+            res = engine.knn_batch(queries, k=3)
+            single = [tree.nearest(q, k=3) for q in queries]
+        assert any(r.intervals for r in res.queries)
+        for i, (r, s) in enumerate(zip(res.queries, single)):
+            assert r.degraded == s.degraded
+            assert r.ids.tolist() == s.ids.tolist()
+            assert r.distances.tolist() == s.distances.tolist()
+            if r.degraded:
+                assert r.certain.tolist() == s.certain.tolist()
+                assert r.intervals == s.intervals
+            else:
+                assert r.certain is None and s.certain is None
+                assert r.intervals is None and s.intervals is None
+            for pid, (lo, hi) in (r.intervals or {}).items():
                 true_dist = tree.metric.distance(
                     queries[i], tree.points[pid]
                 )
