@@ -17,13 +17,23 @@ Two page-access strategies are available:
   access probabilities (eqs. 2-5) make speculative reading cheaper in
   expectation than a later random seek are fetched in the same
   sequential transfer.
+
+Both strategies run through one page loader (``_load_pages``) and one
+refiner (``_refine``), with or without a fault context: without one a
+storage failure propagates; with one, unreadable pages become
+:class:`~repro.storage.runtime_faults.LostPage` records and unreadable
+records fall back to their cell interval (``docs/robustness.md``).
+
+A range query knows its candidate pages up front, so it runs the batch
+engine's pipeline for one query: the batched page loader, the range
+plan kernel and the shared assemble step of :mod:`repro.engine`.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,11 +53,7 @@ from repro.geometry.mbr import maxdist_to_boxes, mindist_to_boxes
 from repro.obs.drift import MONITOR as _DRIFT
 from repro.obs.instruments import QUERY_SECONDS, REGISTRY
 from repro.storage.disk import IOStats, io_delta, io_snapshot
-from repro.storage.runtime_faults import (
-    LostPage,
-    fault_address,
-    fetch_with_quarantine,
-)
+from repro.storage.runtime_faults import LostPage, fault_address
 from repro.storage.scheduler import cost_balance_window
 
 __all__ = [
@@ -62,6 +68,7 @@ __all__ = [
     "checked_query",
     "checked_queries",
     "checked_radius",
+    "checked_k",
     "degraded_fields",
     "io_snapshot",
     "io_delta",
@@ -265,13 +272,10 @@ def nearest_neighbors(
     result instead of aborting it; without one, any storage failure
     surfaces as :class:`~repro.exceptions.QueryDataError`.
     """
-    if k < 1:
-        raise SearchError("k must be at least 1")
+    checked_k(k, tree.n_points)
     if scheduler not in ("optimized", "standard"):
         raise SearchError(f"unknown scheduler: {scheduler!r}")
     tree._ensure_clean()
-    if k > tree.n_points:
-        raise SearchError(f"k={k} exceeds the {tree.n_points} stored points")
     query = checked_query(tree, query)
     query_id = next_query_id()
     try:
@@ -304,7 +308,7 @@ def _nearest_impl(
     exact = ExactStore(tree)
     pages_read = 0
 
-    # Degraded-mode state; stays empty on the pristine path.
+    # Degraded-mode state; stays empty without faults.
     intervals: dict[int, tuple[float, float]] = {}
     lost_pages: list[LostPage] = []
     handles_by_page: dict[int, PageHandle] = {}
@@ -344,42 +348,21 @@ def _nearest_impl(
     while heap and heap[0][0] <= best.bound():
         dist, _t, kind, page, local = heapq.heappop(heap)
         if kind == _POINT:
-            if ctx is None:
-                coords, pid = exact.fetch(page, local)
-                best.offer(metric.distance(query, coords), pid)
-            else:
-                _refine_degraded(
-                    tree, ctx, exact, query, page, local,
-                    best, intervals, handles_by_page,
-                )
+            _refine(
+                tree, exact, query, page, local, best, intervals,
+                handles_by_page,
+            )
             continue
         if processed[page]:
             continue
-        cached = tree._cached_handle(page)
-        if cached is not None:
-            # Decoded-cache hit: the pivot costs no I/O at all, so no
-            # speculative window is planned around it.
-            handles = [cached]
-        elif ctx is None:
-            if scheduler == "standard":
-                handles = [tree._read_page(page)]
-            else:
-                handles = _read_window(
-                    tree, query, page, page_mindists, processed,
-                    best.bound(), k,
-                )
-        else:
-            if page in quarantined_local:
-                lose_page(page)
-                continue
-            handles = _load_pages_degraded(
-                tree, ctx, query, page, page_mindists, processed,
-                best.bound(), k, scheduler, quarantined_local, lose_page,
-            )
+        handles = _load_pages(
+            tree, query, page, page_mindists, processed, best.bound(), k,
+            scheduler, quarantined_local, lose_page,
+        )
         for handle in handles:
             processed[handle.index] = True
             pages_read += 1
-            if ctx is not None and handle.codes is not None:
+            if handle.codes is not None:
                 handles_by_page[handle.index] = handle
             _process_page(tree, query, handle, best, heap, tie)
 
@@ -431,106 +414,69 @@ def range_search(tree: IQTree, query: np.ndarray, radius: float) -> RangeResult:
 
 
 def _range_impl(tree: IQTree, query: np.ndarray, radius: float) -> RangeResult:
+    """One-query run of the batch range pipeline.
+
+    The candidate pages load through the batch loader
+    (:class:`~repro.engine.decode.PageDecodeCache`), a one-query range
+    shard plans (``plan_range_query``) and assembles (``_range_answer``)
+    the answer.  Refinements are fetched through
+    :class:`~repro.core.tree.ExactStore` in the plan's ``(page, local)``
+    order, so a single query still pays one random read per record
+    block.
+    """
+    # Function-local: repro.engine imports this module.
+    from repro.engine.decode import PageDecodeCache
+    from repro.engine.engine import apply_degraded_effects
+    from repro.engine.kernels import (
+        BatchTask,
+        assemble_range_shard,
+        plan_range_shard,
+    )
+
     ctx = tree._fault_ctx
     io_before = io_snapshot(tree.disk)
     tree._charge_directory_scan()
-    metric = tree.metric
-    page_mindists = mindist_to_boxes(
-        query, tree._lowers, tree._uppers, metric
+    dmin = mindist_to_boxes(query, tree._lowers, tree._uppers, tree.metric)
+    cand_mask = dmin <= radius
+    cache = PageDecodeCache(tree)
+    cache.load(np.flatnonzero(cand_mask))
+    task = BatchTask(
+        queries=query[None, :],
+        k=None,
+        radii=np.array([radius]),
+        cand_mask=cand_mask[None, :],
+        lost=frozenset(cache.lost_pages),
+        metric=tree.metric,
+        table=cache.page_table(),
+        counts=tree._counts,
+        dmin=dmin[None, :],
+        dmax=None,
     )
-    candidates = np.flatnonzero(page_mindists <= radius)
+    (plan,) = plan_range_shard(task, [0], None)
     exact = ExactStore(tree)
-    id_runs: list[np.ndarray] = []
-    dist_runs: list[np.ndarray] = []
-    intervals: dict[int, tuple[float, float]] = {}
-    lost_pages: list[LostPage] = []
-    pages_read = 0
-
-    # Pages resident in the decoded cache need no fetch at all; only
-    # the rest go into the batched transfer.
-    cached_handles: dict[int, PageHandle] = {}
-    to_fetch: list[int] = []
-    for page in candidates.tolist():
-        handle = tree._cached_handle(page)
-        if handle is not None:
-            cached_handles[page] = handle
-        else:
-            to_fetch.append(page)
-
-    payloads, lost_local = fetch_with_quarantine(
-        tree._quant_file, tree.disk, ctx, to_fetch
+    points = {}
+    for key in plan["refine"]:
+        try:
+            points[key] = exact.fetch(*key)
+        except (ReadFaultError, IntegrityError) as exc:
+            if not _absorbs(ctx, exc):
+                raise
+    (answer,) = apply_degraded_effects(
+        ctx,
+        assemble_range_shard(
+            replace(task, plans=[plan], points=points), [0], None
+        ),
     )
-    for page in lost_local:
-        # Membership of every point in the page is unknowable;
-        # maxdist is irrelevant for a radius predicate.
-        lost_pages.append(
-            LostPage(
-                page=int(page),
-                n_points=int(tree._counts[page]),
-                mindist=float(page_mindists[page]),
-                maxdist=float("inf"),
-            )
-        )
-        ctx.lose_pages()
-    for page in candidates.tolist():
-        handle = cached_handles.get(page)
-        if handle is None:
-            if page not in payloads:
-                continue  # lost page, reported above
-            handle = tree._decode_page_payload(page, payloads[page])
-        pages_read += 1
-        if handle.points is not None:
-            dists = metric.distances(query, handle.points)
-            inside = dists <= radius
-            id_runs.append(handle.ids[inside].astype(np.int64, copy=False))
-            dist_runs.append(dists[inside].astype(np.float64, copy=False))
-            continue
-        quantizer = tree._codec_view(page, handle)
-        lower_b = quantizer.cell_mindist(query, handle.codes, metric)
-        boxes = None
-        page_ids: list[int] = []
-        page_dists: list[float] = []
-        for local in np.flatnonzero(lower_b <= radius).tolist():
-            try:
-                coords, pid = exact.fetch(page, local)
-            except (ReadFaultError, IntegrityError) as exc:
-                if ctx is None or fault_address(exc) is None:
-                    raise
-                if boxes is None:
-                    boxes = quantizer.cell_bounds(handle.codes)
-                # Possible member: cell overlaps the radius but the
-                # exact record is gone.  Include it flagged uncertain
-                # at the conservative maxdist.
-                pid = int(tree._part_ids[page][local])
-                lo, hi = cell_interval(query, boxes, local, metric)
-                page_ids.append(pid)
-                page_dists.append(hi)
-                intervals[pid] = (lo, hi)
-                ctx.degrade()
-                continue
-            dist = metric.distance(query, coords)
-            if dist <= radius:
-                page_ids.append(pid)
-                page_dists.append(dist)
-        if page_ids:
-            id_runs.append(np.array(page_ids, dtype=np.int64))
-            dist_runs.append(np.array(page_dists, dtype=np.float64))
-
-    if id_runs:
-        found_ids = np.concatenate(id_runs)
-        found_dists = np.concatenate(dist_runs)
-    else:
-        found_ids = np.empty(0, dtype=np.int64)
-        found_dists = np.empty(0)
-    order = np.argsort(found_dists, kind="stable")
-    ids_sorted = found_ids[order]
     result = RangeResult(
-        ids=ids_sorted,
-        distances=found_dists[order],
+        ids=answer.ids,
+        distances=answer.distances,
         io=io_delta(io_before, io_snapshot(tree.disk)),
-        pages_read=pages_read,
+        pages_read=cache.pages_fetched + cache.pages_cached,
         refinements=exact.refinements,
-        **degraded_fields(ids_sorted, intervals, lost_pages),
+        certain=answer.certain,
+        intervals=answer.intervals,
+        lost_pages=answer.lost_pages,
+        degraded=answer.degraded,
     )
     if REGISTRY.enabled:
         # The cost model predicts kNN queries only, so range queries
@@ -680,29 +626,21 @@ def _plan_window(
     return first, last, to_process
 
 
-def _read_window(
-    tree: IQTree,
-    query: np.ndarray,
-    pivot: int,
-    page_mindists: np.ndarray,
-    processed: np.ndarray,
-    bound: float,
-    k: int = 1,
-) -> list[PageHandle]:
-    """Plan and execute one cost-balance page fetch (pristine path)."""
-    first, last, to_process = _plan_window(
-        tree, query, pivot, page_mindists, processed, bound, k
-    )
-    payloads = tree._read_page_run(first, last, wanted=len(to_process))
-    return [
-        tree._decode_page_payload(j, payloads[j - first])
-        for j in to_process
-    ]
+def _absorbs(ctx, exc: Exception) -> bool:
+    """Whether a fault context degrades around ``exc`` instead of
+    failing the query: it needs a context and a read fault at a known
+    address."""
+    return ctx is not None and fault_address(exc) is not None
 
 
-def _load_pages_degraded(
+def _guarded_read(tree: IQTree, read):
+    """Run one read, under the fault context's retry policy if any."""
+    ctx = tree._fault_ctx
+    return read() if ctx is None else ctx.run(read, tree.disk)
+
+
+def _load_pages(
     tree: IQTree,
-    ctx,
     query: np.ndarray,
     pivot: int,
     page_mindists: np.ndarray,
@@ -713,35 +651,48 @@ def _load_pages_degraded(
     quarantined_local: set[int],
     lose_page,
 ) -> list[PageHandle]:
-    """Load a pivot's pages under the fault context.
+    """Load a pivot page -- under the optimized scheduler, with its
+    cost-balance window (Section 2.1) -- as decoded handles.
 
-    The optimized scheduler first tries the planned sequential window
-    (quarantined pages already split it); if the transfer itself faults
-    out its retries, the wanted pages are re-read one by one so a single
-    dead block costs exactly one partition, not the whole window.
-    Unreadable pages are reported through ``lose_page`` and
-    ``quarantined_local`` is kept in sync with the context's quarantine.
+    One path with or without a fault context.  The standard scheduler
+    reads the pivot alone (served from the decoded-page cache when
+    resident); the optimized scheduler serves a cached pivot without
+    I/O, so no speculative window is planned around it, and otherwise
+    plans the window and reads it in one sequential transfer.  Without
+    a context a read fault propagates.  With one, quarantined pages
+    stop the speculative scan, a window transfer that faults out its
+    retries is re-read page by page (so a single dead block costs
+    exactly one partition, not the whole window), unreadable pages are
+    reported through ``lose_page``, and ``quarantined_local`` is kept
+    in sync with the context's quarantine.
     """
-    if scheduler == "standard":
-        to_process = [pivot]
-    else:
+    ctx = tree._fault_ctx
+    if scheduler == "optimized":
+        entry = tree._cached_handle(pivot)
+        if entry is not None:
+            return [entry.handle]
+    if pivot in quarantined_local:
+        lose_page(pivot)
+        return []
+    to_process = [pivot]
+    if scheduler == "optimized":
         first, last, to_process = _plan_window(
             tree, query, pivot, page_mindists, processed, bound, k,
             forbidden=frozenset(quarantined_local),
         )
         try:
-            payloads = ctx.run(
-                lambda: tree._read_page_run(
-                    first, last, wanted=len(to_process)
+            payloads = _guarded_read(
+                tree,
+                lambda: tree._quant_file.read_run(
+                    first, last - first + 1, wanted=len(to_process)
                 ),
-                tree.disk,
             )
             return [
                 tree._decode_page_payload(j, payloads[j - first])
                 for j in to_process
             ]
         except (ReadFaultError, IntegrityError) as exc:
-            if fault_address(exc) is None:
+            if not _absorbs(ctx, exc):
                 raise
             quarantined_local.update(
                 ctx.quarantine.local_indices(tree._quant_file)
@@ -752,11 +703,9 @@ def _load_pages_degraded(
             lose_page(j)
             continue
         try:
-            handles.append(
-                ctx.run(lambda j=j: tree._read_page(j), tree.disk)
-            )
+            handles.append(_guarded_read(tree, lambda j=j: tree._read_page(j)))
         except (ReadFaultError, IntegrityError) as exc:
-            if fault_address(exc) is None:
+            if not _absorbs(ctx, exc):
                 raise
             quarantined_local.update(
                 ctx.quarantine.local_indices(tree._quant_file)
@@ -765,9 +714,8 @@ def _load_pages_degraded(
     return handles
 
 
-def _refine_degraded(
+def _refine(
     tree: IQTree,
-    ctx,
     exact: ExactStore,
     query: np.ndarray,
     page: int,
@@ -776,19 +724,21 @@ def _refine_degraded(
     intervals: dict[int, tuple[float, float]],
     handles_by_page: dict[int, PageHandle],
 ) -> None:
-    """Refine one point, falling back to its cell interval on failure.
+    """Refine one point: offer its exact distance to ``best``.
 
-    The fallback offers the point at its cell *maxdist* -- a sound upper
-    bound on the true distance, so KBest pruning stays conservative --
-    and records the full ``[mindist, maxdist]`` interval, which provably
-    contains the exact distance (grid-cell containment, paper Section
-    3.2).
+    When the exact record is unreadable and the fault context absorbs
+    the fault, the point is offered at its cell *maxdist* -- a sound
+    upper bound on the true distance, so KBest pruning stays
+    conservative -- and the full ``[mindist, maxdist]`` interval, which
+    provably contains the exact distance (grid-cell containment, paper
+    Section 3.2), is recorded.
     """
     metric = tree.metric
     try:
         coords, pid = exact.fetch(page, local)
     except (ReadFaultError, IntegrityError) as exc:
-        if fault_address(exc) is None:
+        ctx = tree._fault_ctx
+        if not _absorbs(ctx, exc):
             raise
         handle = handles_by_page[page]
         boxes = tree._codec_view(page, handle).cell_bounds(handle.codes)
@@ -900,3 +850,12 @@ def checked_radius(radius, shape=()) -> np.ndarray:
     if np.any(radii < 0) or not np.all(np.isfinite(radii)):
         raise SearchError("radius must be non-negative and finite")
     return radii
+
+
+def checked_k(k: int, n_points: int) -> int:
+    """Validate a neighbor count: at least 1, at most ``n_points``."""
+    if k < 1:
+        raise SearchError("k must be at least 1")
+    if k > n_points:
+        raise SearchError(f"k={k} exceeds the {n_points} stored points")
+    return k

@@ -62,6 +62,18 @@ class PageHandle:
     codec: int = 0  # page codec id (0 = grid, 1 = per-page PQ)
     aux: object | None = None  # codec side data (PQView for PQ pages)
 
+    @classmethod
+    def decode(cls, page: int, payload: bytes, dim: int) -> "PageHandle":
+        """Decode one second-level page payload (any codec)."""
+        contents, g, ids, aux = serializer.decode_quantized_page(payload, dim)
+        if REGISTRY.enabled:
+            PAGES_DECODED.inc(bits=g)
+        if g >= EXACT_BITS:
+            return cls(page, g, None, contents, ids)
+        if aux is not None:
+            return cls(page, g, contents, None, None, codec=CODEC_PQ, aux=aux)
+        return cls(page, g, contents, None, None)
+
 
 class IQTree:
     """A built IQ-tree over a point data set.
@@ -766,25 +778,14 @@ class IQTree:
             self._dir_file.read_run(0, self._dir_file.n_blocks)
 
     def _decode_page_payload(self, page: int, payload: bytes) -> PageHandle:
-        contents, g, ids, aux = serializer.decode_quantized_page(
-            payload, self.dim
-        )
-        if REGISTRY.enabled:
-            PAGES_DECODED.inc(bits=g)
-        if g >= EXACT_BITS:
-            handle = PageHandle(page, g, None, contents, ids)
-        elif aux is not None:
-            handle = PageHandle(
-                page, g, contents, None, None, codec=CODEC_PQ, aux=aux
-            )
-        else:
-            handle = PageHandle(page, g, contents, None, None)
+        handle = PageHandle.decode(page, payload, self.dim)
         if self._decoded_cache is not None:
             self._decoded_cache.put(self, page, handle)
         return handle
 
-    def _cached_handle(self, page: int) -> PageHandle | None:
-        """Decoded view of ``page`` from the decoded-page cache, if any.
+    def _cached_handle(self, page: int):
+        """Decoded-page cache entry of ``page`` (handle and any cached
+        cell bounds), or None.
 
         Quarantined pages always miss: a poisoned block must go through
         the (failing) read path so it is reported lost, never served
@@ -798,25 +799,28 @@ class IQTree:
                 self._fault_ctx.quarantine
             ):
                 return None
-        entry = cache.get(self, page)
-        return None if entry is None else entry.handle
+        return cache.get(self, page)
 
     def _read_page(self, page: int) -> PageHandle:
         """Random single-page read (the standard strategy)."""
-        cached = self._cached_handle(page)
-        if cached is not None:
-            return cached
+        entry = self._cached_handle(page)
+        if entry is not None:
+            return entry.handle
         return self._decode_page_payload(
             page, self._quant_file.read_block(page)
         )
 
-    def _read_page_run(
-        self, first: int, last: int, wanted: int
-    ) -> list[bytes]:
-        """One sequential transfer of pages ``first..last`` inclusive."""
-        return self._quant_file.read_run(
-            first, last - first + 1, wanted=wanted
-        )
+    def _record_blocks(self, page: int, local: int) -> tuple[int, int, int]:
+        """Third-level address of one point record of a ``g < 32`` page:
+        its first and last block (inclusive) and its byte offset within
+        the first block."""
+        record = serializer.exact_point_record_size(self.dim)
+        first_block = int(self._exact_firsts[page])
+        block_size = self.disk.model.block_size
+        start = local * record
+        b0 = first_block + start // block_size
+        b1 = first_block + (start + record - 1) // block_size
+        return b0, b1, start - (b0 - first_block) * block_size
 
     def _quantizer_for(self, page: int) -> GridQuantizer:
         return GridQuantizer(
@@ -859,18 +863,12 @@ class ExactStore:
         """Exact ``(coords, id)`` of one point of a ``g < 32`` page."""
         tree = self._tree
         record = serializer.exact_point_record_size(tree.dim)
-        first_block = int(tree._exact_firsts[page])
-        start = local_index * record
-        end = start + record  # exclusive
-        block_size = tree.disk.model.block_size
-        b0 = first_block + start // block_size
-        b1 = first_block + (end - 1) // block_size
+        b0, b1, offset = tree._record_blocks(page, local_index)
         data = bytearray()
         for b in range(b0, b1 + 1):
             if b not in self._cache:
                 self._cache[b] = self._read_block(b)
             data += self._cache[b]
-        offset = start - (b0 - first_block) * block_size
         coords, ids = serializer.decode_exact_record(
             bytes(data[offset : offset + record]), 1, tree.dim
         )

@@ -6,13 +6,18 @@ most once per batch -- same-width pages are unpacked together through
 :func:`~repro.quantization.bitpack.unpack_codes_bulk`, so a batch of
 pages costs a handful of numpy passes rather than one per page.  The
 derived per-point cell bound boxes are cached as well, because they
-depend only on the page, not on the query.
+depend only on the page, not on the query.  It is also the loader of a
+single-query range search, which knows its candidate pages up front.
+Pages that need no bulk unpacking decode through the tree's one
+:meth:`~repro.core.tree.PageHandle.decode`, and the decoded-page cache
+is probed through the tree's one quarantine-aware lookup.
 
 :class:`ExactBatchStore` is the batched counterpart of
 :class:`~repro.core.tree.ExactStore`: it collects the third-level
 refinement candidates of *all* queries of a batch, plans one optimal
 fetch over the union of their blocks, and decodes every requested point
-record exactly once.
+record exactly once.  Both stores address records through
+``IQTree._record_blocks``.
 """
 
 from __future__ import annotations
@@ -42,18 +47,19 @@ class PageDecodeCache:
     them per affected query.
 
     When the tree carries a
-    :class:`~repro.engine.page_cache.DecodedPageCache` (or one is passed
-    as ``shared``), already-decoded pages are served from it without
-    touching the disk, and freshly decoded pages (plus their derived
-    cell bounds) are published back -- the cross-batch amortization
-    layer.  Quarantined pages bypass the shared cache entirely: a
-    poisoned block must be reported lost, never served from a pre-fault
-    decode, and losing a page also drops its shared entry.
+    :class:`~repro.engine.page_cache.DecodedPageCache`, already-decoded
+    pages are served from it without touching the disk, and freshly
+    decoded pages (plus their derived cell bounds) are published back
+    -- the cross-batch amortization layer.  Quarantined pages bypass
+    the shared cache entirely (the tree's one probe,
+    ``IQTree._cached_handle``): a poisoned block must be reported lost,
+    never served from a pre-fault decode, and losing a page also drops
+    its shared entry.
     """
 
-    def __init__(self, tree: IQTree, shared=None):
+    def __init__(self, tree: IQTree):
         self._tree = tree
-        self._shared = tree._decoded_cache if shared is None else shared
+        self._shared = tree._decoded_cache
         self._handles: dict[int, PageHandle] = {}
         self._bounds: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         #: unique pages fetched from the quantized level so far
@@ -76,21 +82,11 @@ class PageDecodeCache:
         )
         if not need:
             return
-        ctx = self._tree._fault_ctx
         shared = self._shared
         if shared is not None:
-            quarantined = (
-                ctx.quarantine.local_indices(self._tree._quant_file)
-                if ctx is not None
-                else frozenset()
-            )
             remaining = []
             for page in need:
-                entry = (
-                    None
-                    if page in quarantined
-                    else shared.get(self._tree, page)
-                )
+                entry = self._tree._cached_handle(page)
                 if entry is None:
                     remaining.append(page)
                     continue
@@ -105,7 +101,8 @@ class PageDecodeCache:
             "fetch", disk=self._tree.disk, pages=len(need)
         ) as fetch_span:
             payloads, lost = fetch_with_quarantine(
-                self._tree._quant_file, self._tree.disk, ctx, need
+                self._tree._quant_file, self._tree.disk,
+                self._tree._fault_ctx, need,
             )
             if lost:
                 self.lost_pages.extend(lost)
@@ -122,10 +119,6 @@ class PageDecodeCache:
         if shared is not None:
             for page in payloads:
                 shared.put(self._tree, page, self._handles[page])
-
-    def handle(self, page: int) -> PageHandle:
-        """Decoded view of one loaded page."""
-        return self._handles[page]
 
     def cell_bounds(self, page: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-point conservative boxes of one quantized page.
@@ -184,19 +177,7 @@ class PageDecodeCache:
                 # Exact pages carry coords + ids and PQ pages carry a
                 # per-page codebook; both decode individually (a plain
                 # frombuffer / codebook gather, nothing to batch).
-                contents, g, ids, aux = serializer.decode_quantized_page(
-                    payload, dim
-                )
-                if aux is not None:
-                    self._handles[page] = PageHandle(
-                        page, g, contents, None, None, codec=codec, aux=aux
-                    )
-                else:
-                    self._handles[page] = PageHandle(
-                        page, g, None, contents, ids
-                    )
-                if REGISTRY.enabled:
-                    PAGES_DECODED.inc(bits=g)
+                self._handles[page] = PageHandle.decode(page, payload, dim)
             else:
                 body = payload[serializer.QUANT_PAGE_HEADER.size :]
                 grouped[bits].append((page, body, m))
@@ -244,19 +225,13 @@ class ExactBatchStore:
         """
         tree = self._tree
         record = serializer.exact_point_record_size(tree.dim)
-        block_size = tree.disk.model.block_size
         todo = sorted(set(requests) - self._points.keys())
         blocks: set[int] = set()
         spans: list[tuple[tuple[int, int], int, int, int]] = []
-        for page, local in todo:
-            first_block = int(tree._exact_firsts[page])
-            start = local * record
-            end = start + record  # exclusive
-            b0 = first_block + start // block_size
-            b1 = first_block + (end - 1) // block_size
-            offset = start - (b0 - first_block) * block_size
+        for key in todo:
+            b0, b1, offset = tree._record_blocks(*key)
             blocks.update(range(b0, b1 + 1))
-            spans.append(((page, local), b0, b1, offset))
+            spans.append((key, b0, b1, offset))
         if blocks:
             with obs_span(
                 "fetch-exact", disk=tree.disk, records=len(spans)
@@ -287,7 +262,3 @@ class ExactBatchStore:
             for key in set(requests)
             if key in self._points
         }
-
-    def get(self, page: int, local: int) -> tuple[np.ndarray, int]:
-        """A record previously fetched via :meth:`fetch_all`."""
-        return self._points[(page, local)]

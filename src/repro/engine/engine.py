@@ -68,6 +68,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.search import (
+    checked_k,
     checked_queries,
     checked_radius,
     next_query_id,
@@ -107,6 +108,26 @@ __all__ = [
     "BatchResult",
     "guarantee_radii",
 ]
+
+
+def apply_degraded_effects(ctx, assembled: list[dict]) -> list:
+    """Apply each query's degraded-mode side effects, in query order.
+
+    The assemble kernels return pure results plus the count of interval
+    fallbacks they computed; this coordinator pass feeds the fault
+    context's session counters (and through them the registry
+    instruments), so counter values cannot depend on scheduling -- of
+    threads or of processes.  Returns the results.
+    """
+    results = []
+    for item in assembled:
+        result = item["result"]
+        if item["n_intervals"]:
+            ctx.degrade(item["n_intervals"])
+        if result.lost_pages:
+            ctx.lose_pages(len(result.lost_pages))
+        results.append(result)
+    return results
 
 
 def guarantee_radii(
@@ -326,13 +347,8 @@ class QueryEngine:
         distance *within the caller's final merged answer*.
         """
         tree = self.tree
-        if k < 1:
-            raise SearchError("k must be at least 1")
+        checked_k(k, tree.n_points)
         tree._ensure_clean()
-        if k > tree.n_points:
-            raise SearchError(
-                f"k={k} exceeds the {tree.n_points} stored points"
-            )
         queries = checked_queries(tree, queries)
         if radius_cap is not None:
             radius_cap = np.asarray(radius_cap, dtype=np.float64)
@@ -433,11 +449,7 @@ class QueryEngine:
                     k=k,
                     radii=radii,
                     cand_mask=cand_mask,
-                    lost=(
-                        frozenset(cache.lost_pages)
-                        if tree._fault_ctx is not None
-                        else frozenset()
-                    ),
+                    lost=frozenset(cache.lost_pages),
                     metric=metric,
                     table=cache.page_table(),
                     counts=tree._counts,
@@ -478,7 +490,7 @@ class QueryEngine:
                     task=replace(task, plans=plans, points=points),
                 )
                 _stitch_worker_records(tracer, "assemble", assembled)
-                results = self._apply_degraded_effects(assembled)
+                results = apply_degraded_effects(tree._fault_ctx, assembled)
                 if refine_span is not None and any(
                     r.degraded for r in results
                 ):
@@ -496,27 +508,6 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Shared accounting
     # ------------------------------------------------------------------
-    def _apply_degraded_effects(self, assembled: list[dict]) -> list:
-        """Apply each query's degraded-mode side effects, in query order.
-
-        Workers return pure results plus the count of interval
-        fallbacks they computed; this coordinator pass feeds the fault
-        context's session counters (and through them the registry
-        instruments) exactly as the serial engine did, so counter
-        values cannot depend on scheduling -- of threads or of
-        processes.
-        """
-        ctx = self.tree._fault_ctx
-        results = []
-        for item in assembled:
-            result = item["result"]
-            if item["n_intervals"]:
-                ctx.degrade(item["n_intervals"])
-            if result.lost_pages:
-                ctx.lose_pages(len(result.lost_pages))
-            results.append(result)
-        return results
-
     def _pool_counters(self) -> tuple[int, int]:
         if self.pool is None:
             return (0, 0)

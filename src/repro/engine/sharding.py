@@ -62,6 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.search import (
+    checked_k,
     checked_queries,
     checked_radius,
     degraded_fields,
@@ -414,39 +415,31 @@ class ShardRouter:
     # ------------------------------------------------------------------
     def knn_batch(self, queries: np.ndarray, k: int = 1) -> ShardedBatchResult:
         """Exact scatter-gather kNN, answers identical to one engine."""
-        if k < 1:
-            raise SearchError("k must be at least 1")
-        if k > self._n_rows:
-            raise SearchError(
-                f"k={k} exceeds the {self._n_rows} stored points"
-            )
+        checked_k(k, self._n_rows)
         queries = checked_queries(self.shards[0].tree, queries)
-        if self._flight_recorder is not None:
-            return observe_batch(
-                self._flight_recorder, self, "knn-batch",
-                next_query_id(),
-                lambda: self._knn_batch_impl(queries, k),
-            )
-        return self._knn_batch_impl(queries, k)
 
-    def _knn_batch_impl(
-        self, queries: np.ndarray, k: int
-    ) -> ShardedBatchResult:
-        dmin = mindist_matrix(queries, self._lowers, self._uppers, self.metric)
-        dmax = maxdist_matrix(queries, self._lowers, self._uppers, self.metric)
-        bound = guarantee_radii(dmax, self._counts, k)
-        return self._scatter_gather(
-            queries,
-            dmin,
-            dmax,
-            bound,
-            run=lambda shard, active: shard.engine.knn_batch(
-                queries[active], k=k, radius_cap=bound[active]
-            ),
-            tighten=lambda merge: self._kth_distance(merge, k),
-            lost_maxdist=lambda q, pages: dmax[q, pages],
-            top_k=k,
-        )
+        def run() -> ShardedBatchResult:
+            dmin = mindist_matrix(
+                queries, self._lowers, self._uppers, self.metric
+            )
+            dmax = maxdist_matrix(
+                queries, self._lowers, self._uppers, self.metric
+            )
+            bound = guarantee_radii(dmax, self._counts, k)
+            return self._scatter_gather(
+                queries,
+                dmin,
+                dmax,
+                bound,
+                run=lambda shard, active: shard.engine.knn_batch(
+                    queries[active], k=k, radius_cap=bound[active]
+                ),
+                tighten=lambda merge: self._kth_distance(merge, k),
+                lost_maxdist=lambda q, pages: dmax[q, pages],
+                top_k=k,
+            )
+
+        return self._observed("knn-batch", run)
 
     @staticmethod
     def _kth_distance(merge: _QueryMerge, k: int) -> float:
@@ -470,29 +463,31 @@ class ShardRouter:
         """Scatter-gather range search; one shard-skip rule: distance."""
         queries = checked_queries(self.shards[0].tree, queries)
         radii = checked_radius(radius, (queries.shape[0],))
-        if self._flight_recorder is not None:
-            return observe_batch(
-                self._flight_recorder, self, "range-batch",
-                next_query_id(),
-                lambda: self._range_batch_impl(queries, radii),
-            )
-        return self._range_batch_impl(queries, radii)
 
-    def _range_batch_impl(
-        self, queries: np.ndarray, radii: np.ndarray
-    ) -> ShardedBatchResult:
-        dmin = mindist_matrix(queries, self._lowers, self._uppers, self.metric)
-        return self._scatter_gather(
-            queries,
-            dmin,
-            None,
-            radii.copy(),
-            run=lambda shard, active: shard.engine.range_batch(
-                queries[active], radii[active]
-            ),
-            tighten=None,
-            lost_maxdist=lambda q, pages: np.full(len(pages), np.inf),
-            top_k=None,
+        def run() -> ShardedBatchResult:
+            return self._scatter_gather(
+                queries,
+                mindist_matrix(
+                    queries, self._lowers, self._uppers, self.metric
+                ),
+                None,
+                radii.copy(),
+                run=lambda shard, active: shard.engine.range_batch(
+                    queries[active], radii[active]
+                ),
+                tighten=None,
+                lost_maxdist=lambda q, pages: np.full(len(pages), np.inf),
+                top_k=None,
+            )
+
+        return self._observed("range-batch", run)
+
+    def _observed(self, kind: str, run) -> ShardedBatchResult:
+        """Run one routed batch under the flight recorder, if any."""
+        if self._flight_recorder is None:
+            return run()
+        return observe_batch(
+            self._flight_recorder, self, kind, next_query_id(), run
         )
 
     # ------------------------------------------------------------------

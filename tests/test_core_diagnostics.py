@@ -6,6 +6,7 @@ import pytest
 from repro.exceptions import SearchError
 from repro.core.diagnostics import explain_query
 from repro.core.tree import IQTree
+from repro.storage.disk import DiskModel, SimulatedDisk
 
 
 @pytest.fixture
@@ -52,6 +53,26 @@ class TestExplainQuery:
         for d in explanation.decisions:
             if d.outcome == "pruned":
                 assert d.mindist >= worst_result - 1e-9
+
+    def test_decoded_cache_pages_count_as_read(
+        self, tree, uniform_points, rng
+    ):
+        """With a decoded cache attached, the decisions describe the
+        query that ran: it reads what the uncached query reads."""
+        q = rng.random(8)
+        uncached = IQTree.build(
+            uniform_points,
+            disk=SimulatedDisk(
+                DiskModel(t_seek=0.010, t_xfer=0.001, block_size=512)
+            ),
+        )
+        expected = uncached.nearest(q, k=3).pages_read
+        tree.use_decoded_cache(16 << 20)
+        explanation = explain_query(tree, q, k=3)
+        assert explanation.pages_read == expected
+        assert explanation.pages_read + explanation.pages_pruned == (
+            tree.n_pages
+        )
 
     def test_summary_text(self, tree, rng):
         text = explain_query(tree, rng.random(8)).summary()

@@ -57,11 +57,11 @@ def faulted_tree(points, *, bits=4):
     return IQTree.build(points, disk=disk, optimize=False, fixed_bits=bits)
 
 
-def observed_addresses(tree, level, query, k=3):
+def observed_addresses(tree, level, query, k=3, scheduler="optimized"):
     """Disk addresses of ``level`` a pristine query reads, ascending."""
     observer = ReadFaultInjector()
     tree.disk.install_fault_injector(observer)
-    tree.nearest(query, k=k)
+    tree.nearest(query, k=k, scheduler=scheduler)
     tree.disk.clear_fault_injector()
     addresses = [
         address
@@ -402,6 +402,58 @@ class TestDegradedKNN:
         assert isinstance(err.value.__cause__, PersistentReadError)
 
 
+class TestSingleQueryFaultMatrix:
+    """Single-query kNN under faults, for both page-access strategies,
+    a dead quantized or exact level, and with or without a decoded-page
+    cache: the one loader and one refiner must degrade soundly."""
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["nocache", "cache"])
+    @pytest.mark.parametrize("level", ["quantized", "exact"])
+    @pytest.mark.parametrize("scheduler", ["optimized", "standard"])
+    def test_knn_degrades_soundly(
+        self, uniform_points, scheduler, level, cached
+    ):
+        tree = faulted_tree(uniform_points[:600])
+        queries = uniform_points[720:724]
+        victims = observed_addresses(
+            tree, level, queries[0], k=5, scheduler=scheduler
+        )
+        if cached:
+            tree.use_decoded_cache(16 << 20)
+        inj = ReadFaultInjector()
+        # Every other quantized page is lost; every exact block the
+        # pristine query read is dead, so its top-k becomes intervals.
+        for address in victims[:: 2 if level == "quantized" else 1]:
+            inj.fail_always(address)
+        tree.disk.install_fault_injector(inj)
+        ctx = tree.use_fault_tolerance()
+        degraded = 0
+        for _ in range(2):  # the second pass meets a warm cache
+            for query in queries:
+                res = tree.nearest(query, k=5, scheduler=scheduler)
+                degraded += res.degraded
+                self.check_sound(tree, query, res)
+        assert degraded and inj.fired
+        assert ctx.quarantined >= 1
+
+    @staticmethod
+    def check_sound(tree, query, res):
+        for pos, pid in enumerate(res.ids.tolist()):
+            true_dist = tree.metric.distance(query, tree.points[pid])
+            if res.certain is None or res.certain[pos]:
+                assert res.distances[pos] == pytest.approx(true_dist)
+            else:
+                lo, hi = res.intervals[pid]
+                assert lo - 1e-9 <= true_dist <= hi + 1e-9
+                assert res.distances[pos] == hi
+        for lost in res.lost_pages:
+            members = tree.points[tree._part_ids[lost.page]]
+            dists = tree.metric.distances(query, members)
+            assert lost.n_points == len(members)
+            assert np.all(dists >= lost.mindist - 1e-9)
+            assert np.all(dists <= lost.maxdist + 1e-9)
+
+
 class TestDegradedRange:
     def test_lost_page_reported_with_infinite_maxdist(self, uniform_points):
         tree = faulted_tree(uniform_points[:600])
@@ -488,8 +540,24 @@ class TestEngineDegraded:
     ):
         self.check_single_query_degradation_matches(uniform_points, "knn")
 
+    def test_range_batch_matches_single_query_degradation_cached(
+        self, uniform_points
+    ):
+        self.check_single_query_degradation_matches(
+            uniform_points, "range", decoded_cache=True
+        )
+
+    def test_knn_batch_matches_single_query_degradation_cached(
+        self, uniform_points
+    ):
+        self.check_single_query_degradation_matches(
+            uniform_points, "knn", decoded_cache=True
+        )
+
     @staticmethod
-    def check_single_query_degradation_matches(uniform_points, kind):
+    def check_single_query_degradation_matches(
+        uniform_points, kind, decoded_cache=False
+    ):
         """Single-query and batch searches degrade identically: for the
         same faulted record they report bit-equal ids, distances,
         ``certain`` masks and cell ``intervals`` (one interval kernel
@@ -503,6 +571,10 @@ class TestEngineDegraded:
             # Every exact block the pristine query reads, so its own
             # top-k comes back as cell intervals.
             victims = observed_addresses(tree, "exact", queries[0])
+        if decoded_cache:
+            # The batch runs first and publishes its decodes, so the
+            # single queries are served from the cache.
+            tree.use_decoded_cache(16 << 20)
         inj = ReadFaultInjector()
         for address in victims:
             inj.fail_always(address)
