@@ -189,9 +189,7 @@ def test_disabled_overhead_parallel_sharded(workload, monkeypatch):
 
     tree, queries = workload
     assert not obs.registry.enabled
-    router = ShardRouter(
-        tree, shards=4, workers=4, backend="process", pool=128
-    )
+    router = ShardRouter(tree, shards=4, workers=4, pool=128)
 
     def _run_router() -> None:
         for i in range(BATCHES):
@@ -225,7 +223,7 @@ def test_disabled_overhead_parallel_sharded(workload, monkeypatch):
     )
     assert overhead < threshold, (
         f"disabled tracing costs {overhead * 100:.1f}% on the sharded "
-        f"process-backend path (> {threshold * 100:.0f}%); a span or "
+        f"worker-process path (> {threshold * 100:.0f}%); a span or "
         "stitch seam is missing its is-tracing-enabled guard"
     )
 

@@ -21,10 +21,10 @@ keeps them clearly apart:
 
 **Wall-clock speedup** (real elapsed time on the host).  The same warm
 workload -- decoded cache hot, so per-query CPU dominates -- runs with
-``workers=1`` and with ``workers=4, backend="process"`` on separate but
-identical trees; results must be bit-identical, only the clock may
-differ.  The process backend ships the per-query kernels to worker
-processes (large arrays via a shared-memory arena), so this is where
+``workers=1`` and with ``workers=4`` on separate but identical trees;
+results must be bit-identical, only the clock may differ.  More than
+one worker ships the per-query kernels to worker processes (large
+arrays via a shared-memory arena), so this is where
 multi-core hosts convert the simulated speedup into real time.  The
 measurement is host-dependent by nature: the acceptance threshold below
 is only asserted when the runner actually has >= 4 usable cores, and
@@ -100,11 +100,9 @@ def run_rounds(engine, queries):
     return sim, wall, last
 
 
-def run_wall(tree, queries, workers, backend):
+def run_wall(tree, queries, workers):
     """Warm the decoded cache, then time WALL_ROUNDS replays."""
-    engine = tree.query_engine(
-        workers=workers, backend=backend, decode_cache=64 << 20
-    )
+    engine = tree.query_engine(workers=workers, decode_cache=64 << 20)
     engine.knn_batch(queries, k=K)  # warm: decode once, off the clock
     wall = -time.perf_counter()
     last = None
@@ -140,12 +138,10 @@ def result() -> dict:
 
     # Wall-clock section: same warm workload, serial vs process pool.
     tree_w1, wall_queries = build_fixture(WALL_BATCH)
-    wall_serial, wall_serial_last = run_wall(
-        tree_w1, wall_queries, workers=1, backend="auto"
-    )
+    wall_serial, wall_serial_last = run_wall(tree_w1, wall_queries, workers=1)
     tree_wp, _ = build_fixture(WALL_BATCH)
     wall_process, wall_process_last = run_wall(
-        tree_wp, wall_queries, workers=WORKERS, backend="process"
+        tree_wp, wall_queries, workers=WORKERS
     )
     for s, p in zip(wall_serial_last, wall_process_last):
         assert (s.ids == p.ids).all()
@@ -177,7 +173,7 @@ def result() -> dict:
             "pages_decoded": cache.misses,
         },
         "speedup_sim": round(sim_speedup, 3),
-        # Wall-clock scaling of the warm workload (process backend).
+        # Wall-clock scaling of the warm workload (worker processes).
         # Host-dependent: meaningful on >= WORKERS cores, recorded
         # everywhere for trend visibility.
         "wall_clock": {

@@ -37,9 +37,7 @@ concurrent scatter cannot tighten bounds mid-flight, so its real
 per-shard work would sit between the floor and the sequential cost.
 
 Results land in ``BENCH_sharded.json`` at the repo root.  Run directly
-with ``--smoke`` for the CI-sized run (``--backend`` picks the worker
-backend; answers and simulated latencies are backend-invariant by the
-determinism contract, so the JSON is too).
+with ``--smoke`` for the CI-sized run.
 """
 
 from __future__ import annotations
@@ -127,7 +125,6 @@ def run_bench(
     n_points: int = scaled(12_000),
     n_queries: int = N_QUERIES,
     workers: int = 2,
-    backend: str = "thread",
 ) -> dict:
     tree, queries = build_fixture(n_points, n_queries)
 
@@ -138,9 +135,7 @@ def run_bench(
         answers = {}
         served = {}
         for n_shards in (1, SHARDS):
-            router = ShardRouter(
-                tree, shards=n_shards, workers=workers, backend=backend
-            )
+            router = ShardRouter(tree, shards=n_shards, workers=workers)
             served[n_shards] = measure_services(router, queries)
             answers[n_shards] = [r for _, _, r in served[n_shards]]
             router.close()
@@ -210,7 +205,6 @@ def run_bench(
             "pages": int(tree.n_pages),
             "shards": SHARDS,
             "workers": workers,
-            "backend": backend,
             "utilization": UTILIZATION,
             "mean_interarrival_ms": round(mean_interarrival * 1e3, 3),
         },
@@ -289,20 +283,12 @@ def main() -> int:
         action="store_true",
         help="CI-sized run (small fixture, same assertions)",
     )
-    parser.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="worker backend for every shard engine",
-    )
     args = parser.parse_args()
 
     if args.smoke:
-        out = run_bench(
-            n_points=3_000, n_queries=24, workers=2, backend=args.backend
-        )
+        out = run_bench(n_points=3_000, n_queries=24, workers=2)
     else:
-        out = run_bench(backend=args.backend)
+        out = run_bench()
 
     print(json.dumps(out, indent=2))
     assert out["mean_shards_skipped"] >= 1.0, (

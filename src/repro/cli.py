@@ -6,7 +6,7 @@ Usage::
     python -m repro query  index.iqt --point 0.1,0.2,... [--k 5]
     python -m repro query  index.iqt --random 3 [--k 5]
     python -m repro batch  index.iqt --random 50 [--k 5] [--pool 256]
-    python -m repro batch  index.iqt --random 50 --workers 4 [--backend process] [--decode-cache 4194304]
+    python -m repro batch  index.iqt --random 50 --workers 4 [--decode-cache 4194304]
     python -m repro batch  index.iqt --random 50 --radius 0.2 [--compare]
     python -m repro info   index.iqt
     python -m repro fsck   index.iqt
@@ -17,7 +17,7 @@ Usage::
     python -m repro trace  index.iqt --export chrome --shards 4 --workers 2
     python -m repro flight index.iqt --shards 4 --kill-shard 0
     python -m repro chaos  index.iqt [--kinds transient] [--levels exact]
-    python -m repro chaos  index.iqt --writes [--ops 40] [--backend process]
+    python -m repro chaos  index.iqt --writes [--ops 40] [--group-commit 4]
 
 ``data.npy`` is any ``numpy.save``-ed ``(n, d)`` float array.
 """
@@ -104,7 +104,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         pool=args.pool,
         workers=args.workers,
         decode_cache=args.decode_cache,
-        backend=args.backend,
     )
     if args.radius is not None:
         result = engine.range_batch(queries, args.radius)
@@ -115,8 +114,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     stats = result.stats
     print(
         f"batch of {stats.n_queries} {kind} queries "
-        f"({stats.workers} worker{'s' if stats.workers != 1 else ''}, "
-        f"{engine.backend} backend): "
+        f"({stats.workers} worker{'s' if stats.workers != 1 else ''}): "
         f"{stats.io.elapsed * 1e3:.2f} ms simulated "
         f"({stats.mean_time * 1e3:.3f} ms/query), "
         f"{stats.io.seeks} seeks, {stats.pages_read} pages, "
@@ -162,7 +160,6 @@ def _batch_sharded(args: argparse.Namespace, tree, queries) -> int:
         tree,
         shards=args.shards,
         workers=args.workers,
-        backend=args.backend,
         pool=args.pool,
         decode_cache=args.decode_cache,
     )
@@ -185,8 +182,7 @@ def _batch_sharded(args: argparse.Namespace, tree, queries) -> int:
     print(
         f"sharded batch of {stats.n_queries} {kind} queries over "
         f"{router.n_shards} shards ({alive} alive, "
-        f"{stats.workers} worker{'s' if stats.workers != 1 else ''}, "
-        f"{router.backend} backend): "
+        f"{stats.workers} worker{'s' if stats.workers != 1 else ''}): "
         f"{stats.io.elapsed * 1e3:.2f} ms simulated "
         f"({stats.mean_time * 1e3:.3f} ms/query), "
         f"{stats.io.seeks} seeks, {stats.pages_read} pages, "
@@ -299,15 +295,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             tree,
             shards=args.shards,
             workers=args.workers,
-            backend=args.backend,
             pool=args.pool,
         )
         target = router
         name = f"knn-batch k={args.k} shards={router.n_shards}"
     else:
-        target = tree.query_engine(
-            pool=args.pool, workers=args.workers, backend=args.backend
-        )
+        target = tree.query_engine(pool=args.pool, workers=args.workers)
         name = f"knn-batch k={args.k}"
     try:
         with obs.trace_query(target, name=name) as tracer:
@@ -846,7 +839,7 @@ def _chaos_writes(args: argparse.Namespace) -> int:
     problems = []
 
     engine_tree = load_iqtree(args.index)
-    engine = QueryEngine(engine_tree, workers=2, backend=args.backend)
+    engine = QueryEngine(engine_tree, workers=2)
     try:
         want = engine.knn_batch(qmatrix, k=k)
         got_all, sweeps = churn_batches(
@@ -864,15 +857,13 @@ def _chaos_writes(args: argparse.Namespace) -> int:
         engine.close()
     verdict = "FAIL" if problems else "ok"
     print(
-        f"  maintenance x engine[{engine.backend}]: {verdict}  "
+        f"  maintenance x engine:   {verdict}  "
         f"[{sweeps} sweeps raced]"
     )
 
     shard_problems = []
     shard_tree = load_iqtree(args.index)
-    router = ShardRouter(
-        shard_tree, shards=2, workers=2, backend=args.backend
-    )
+    router = ShardRouter(shard_tree, shards=2, workers=2)
     try:
         want = router.knn_batch(qmatrix, k=k)
         got_all, shard_sweeps = churn_batches(
@@ -1074,15 +1065,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="workers for the per-query phases (default: 1)",
-    )
-    batch.add_argument(
-        "--backend",
-        choices=("auto", "thread", "process"),
-        default="auto",
-        help="executor backend for --workers > 1: processes scale on "
-        "real cores, threads avoid worker startup (default: auto = "
-        "process when parallel); results are identical either way",
+        help="worker processes for the per-query phases (default: 1 = inline)",
     )
     batch.add_argument(
         "--decode-cache",
@@ -1215,14 +1198,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="workers for the per-query phases (default: 1)",
-    )
-    trace.add_argument(
-        "--backend",
-        choices=("auto", "thread", "process"),
-        default="auto",
-        help="executor backend for --workers > 1; the stitched trace "
-        "is identical either way",
+        help="worker processes for the per-query phases (default: 1 = inline)",
     )
     trace.set_defaults(func=_cmd_trace)
 
@@ -1360,13 +1336,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="WAL group-commit window: acknowledge writes only at every "
         "Nth fsync batch (only with --writes; 1 = fsync per append)",
-    )
-    chaos.add_argument(
-        "--backend",
-        default="thread",
-        choices=("thread", "process"),
-        help="worker backend of the concurrent-maintenance phase "
-        "(only with --writes)",
     )
     chaos.set_defaults(func=_cmd_chaos)
     return parser

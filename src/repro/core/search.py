@@ -452,7 +452,7 @@ def _range_impl(tree: IQTree, query: np.ndarray, radius: float) -> RangeResult:
         dmin=dmin[None, :],
         dmax=None,
     )
-    (plan,) = plan_range_shard(task, [0], None)
+    (plan,) = plan_range_shard(task, [0])
     exact = ExactStore(tree)
     points = {}
     for key in plan["refine"]:
@@ -463,9 +463,7 @@ def _range_impl(tree: IQTree, query: np.ndarray, radius: float) -> RangeResult:
                 raise
     (answer,) = apply_degraded_effects(
         ctx,
-        assemble_range_shard(
-            replace(task, plans=[plan], points=points), [0], None
-        ),
+        assemble_range_shard(replace(task, plans=[plan], points=points), [0]),
     )
     result = RangeResult(
         ids=answer.ids,

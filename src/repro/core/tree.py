@@ -524,16 +524,14 @@ class IQTree:
         pool=None,
         workers: int = 1,
         decode_cache=None,
-        backend: str = "auto",
     ):
         """A :class:`~repro.engine.QueryEngine` serving this tree.
 
         ``pool`` is an optional shared buffer pool (or integer capacity
         in blocks) attached via :meth:`use_buffer_pool`; when omitted,
         the engine uses whatever pool is already attached, if any.
-        ``workers`` sizes the engine's worker pool and ``backend``
-        selects its executor (``"thread"``, ``"process"``, or ``"auto"``
-        -- results are identical either way); ``decode_cache`` is an
+        ``workers`` sizes the engine's worker pool (results are
+        identical for any count); ``decode_cache`` is an
         optional :class:`~repro.engine.DecodedPageCache` (or byte
         budget) attached via :meth:`use_decoded_cache`.
         """
@@ -544,7 +542,6 @@ class IQTree:
             pool=pool,
             workers=workers,
             decode_cache=decode_cache,
-            backend=backend,
         )
 
     def browse(self, query: np.ndarray):

@@ -9,7 +9,7 @@ Two further amortization/serving layers live here as well:
 :class:`DecodedPageCache` keeps decoded quantized pages (and their
 derived cell bounds) resident *across* batches under a byte budget, and
 :class:`WorkerPool` shards the per-query CPU phases of a batch over
-worker threads or worker processes while keeping results, I/O ledgers,
+worker processes (inline for one worker) while keeping results, I/O ledgers,
 and observability counters bit-identical to serial execution.  The
 per-query phases themselves are the pure, picklable kernels of
 :mod:`repro.engine.kernels`.

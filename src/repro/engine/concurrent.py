@@ -7,42 +7,25 @@ so workers only run pure CPU work -- the per-query kernels of
 :mod:`repro.engine.kernels` over read-only precomputed state.  That
 division of labor is what makes the parallel engine *deterministic*:
 the simulated-cost ledger and every observability counter come out
-bit-identical for any worker count and either backend, which the
-equivalence tests pin.
+bit-identical for any worker count, which the equivalence tests pin.
 
-Two backends execute the shards:
-
-``thread``
-    A :class:`~concurrent.futures.ThreadPoolExecutor`.  Zero shipping
-    cost (shards see the coordinator's arrays by reference), but pure
-    Python portions of the kernels serialize on the GIL, so wall-clock
-    scaling is limited to the numpy regions that release it.
-
-``process``
-    A :class:`~concurrent.futures.ProcessPoolExecutor` (``fork`` start
-    method when the platform offers it).  Task payloads are pickled
-    once per phase on the coordinator; large arrays travel zero-copy
-    through a :class:`~repro.engine.shm.SharedArena` when the engine
-    froze them.  This is the backend that turns simulated speedup into
-    wall-clock speedup on multi-core hosts.  It requires the mapped
-    function (and task) to be picklable -- module-level kernels, plain
-    data.
-
-``auto`` (the default) resolves to ``process`` for ``workers > 1`` and
-to the zero-overhead inline path for ``workers=1``; if the platform
-cannot start a process pool, it degrades to ``thread`` (identical
-results, reduced wall-clock scaling).
+There is one executor.  A map over one shard (``workers=1``, or a
+single item) runs inline on the calling thread; anything wider runs on
+a :class:`~concurrent.futures.ProcessPoolExecutor` (``fork`` start
+method when the platform offers it).  The ``(fn, task)`` payload is
+pickled once per map on the coordinator; large arrays travel zero-copy
+through a :class:`~repro.engine.shm.SharedArena` when the engine froze
+them (:meth:`WorkerPool.ships` tells it when).  The mapped function
+must therefore be picklable -- a module-level kernel over plain data.
+If the platform cannot start a process pool, every map runs inline
+instead: the kernels are pure, so the results are the same.
 
 Sharding is contiguous and balanced: ``q`` items over ``w`` workers
-become at most ``w`` runs of ``ceil``/``floor`` sizes in original order.
-Each shard gets its own :class:`~repro.storage.disk.IOStats` ledger;
-after the barrier the shard results are concatenated in shard order and
-the ledgers are merged in shard order through
-:meth:`~repro.storage.disk.IOStats.merged_with`, so even a worker
-function that *does* charge its ledger aggregates reproducibly.  When
-several shards fail, the first shard's exception (in shard order) is
-raised and every other shard's failure is attached to it as a
-``__notes__`` entry -- concurrent failures never vanish.
+become at most ``w`` runs of ``ceil``/``floor`` sizes in original order,
+and the shard results are concatenated in shard order.  When several
+shards fail, the first shard's exception (in shard order) is raised and
+every other shard's failure is attached to it as a ``__notes__`` entry
+-- concurrent failures never vanish.
 
 Tracing rides the same channel: when a ``trace_query`` block is
 active, the engine flags its task objects and the kernels return
@@ -57,42 +40,25 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
-from concurrent.futures import (
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import ProcessPoolExecutor, wait
 from typing import Callable, Sequence, TypeVar
 
 from repro.exceptions import SearchError
-from repro.storage.disk import IOStats
 
 __all__ = ["WorkerPool"]
 
 T = TypeVar("T")
 
-_BACKENDS = ("auto", "thread", "process")
 
-#: sentinel distinguishing "no task payload" from a None task
-_NO_TASK = object()
-
-
-def _process_shard(blob: bytes, shard) -> tuple[list, IOStats]:
+def _process_shard(blob: bytes, shard) -> list:
     """Worker-process entry point: run one shard of a pre-pickled task.
 
-    The ``(fn, task, has_task)`` payload is pickled *once* on the
-    coordinator and shipped as bytes, so submitting W shards costs one
-    serialization, not W.  The shard gets a fresh ledger that travels
-    back with the results (cross-process mutation cannot propagate).
+    The ``(fn, task)`` payload is pickled *once* on the coordinator and
+    shipped as bytes, so submitting W shards costs one serialization,
+    not W.
     """
-    fn, task, has_task = pickle.loads(blob)
-    ledger = IOStats()
-    if has_task:
-        out = fn(task, shard, ledger)
-    else:
-        out = fn(shard, ledger)
-    return out, ledger
+    fn, task = pickle.loads(blob)
+    return fn(task, shard)
 
 
 class WorkerPool:
@@ -102,31 +68,21 @@ class WorkerPool:
     ----------
     workers:
         Number of workers (at least 1).  With one worker every shard
-        runs inline on the calling thread -- no executor, no thread or
-        process hop -- so ``workers=1`` is exactly the serial engine.
-    backend:
-        ``"thread"``, ``"process"``, or ``"auto"`` (default).  See the
-        module docstring; any backend yields bit-identical results.
+        runs inline on the calling thread -- no executor, no process
+        hop -- so ``workers=1`` is exactly the serial engine.
 
-    The underlying executor is created lazily on first parallel use and
-    reused across batches; :meth:`close` (or use as a context manager)
-    shuts it down.
+    The process pool is created lazily on first parallel use and reused
+    across batches; :meth:`close` (or use as a context manager) shuts it
+    down.
     """
 
-    def __init__(self, workers: int = 1, backend: str = "auto"):
+    def __init__(self, workers: int = 1):
         if workers < 1:
             raise SearchError("workers must be at least 1")
-        if backend not in _BACKENDS:
-            raise SearchError(
-                f"backend must be one of {_BACKENDS}, got {backend!r}"
-            )
         self.workers = int(workers)
-        self.backend = (
-            "process" if backend == "auto" and self.workers > 1
-            else "thread" if backend == "auto"
-            else backend
-        )
-        self._executor: Executor | None = None
+        self._executor: ProcessPoolExecutor | None = None
+        #: set once the platform refused to start a process pool
+        self._inline_only = False
 
     # ------------------------------------------------------------------
     # Sharded mapping
@@ -151,139 +107,112 @@ class WorkerPool:
             start += size
         return shards
 
-    def map_sharded(
-        self,
-        fn: Callable,
-        items: Sequence[T],
-        task=_NO_TASK,
-    ) -> tuple[list, IOStats]:
-        """Run ``fn`` over contiguous shards of ``items``.
+    def ships(self, n_items: int) -> bool:
+        """Whether a map over ``n_items`` crosses a process boundary."""
+        return (
+            min(self.workers, n_items) > 1
+            and self._ensure_executor() is not None
+        )
 
-        Without ``task`` the worker signature is ``fn(shard, ledger)``;
-        with one it is ``fn(task, shard, ledger)`` where ``task`` is an
-        arbitrary read-only payload shared by every shard (the process
-        backend pickles it exactly once).  Returns ``(results, merged)``
-        where ``results`` is the concatenation of every shard's returned
-        list *in shard order* (i.e. original item order) and ``merged``
-        is the shard ledgers merged in the same order.  Worker
-        exceptions propagate after all shards have settled: the first
-        failing shard's exception is raised, with every other shard's
-        failure recorded on it via ``add_note`` -- no shard failure is
-        silently dropped.
+    def map_sharded(self, fn: Callable, items: Sequence[T], task) -> list:
+        """Run ``fn(task, shard)`` over contiguous shards of ``items``.
+
+        ``task`` is a read-only payload shared by every shard (pickled
+        exactly once when the shards go to worker processes).  Returns
+        the concatenation of every shard's returned list *in shard
+        order*, i.e. original item order.  Worker exceptions propagate
+        after all shards have settled: the first failing shard's
+        exception is raised, with every other shard's failure recorded
+        on it via ``add_note`` -- no shard failure is silently dropped.
         """
         shards = self.shard(list(items))
-        has_task = task is not _NO_TASK
-        if len(shards) <= 1:
-            ledgers = [IOStats() for _ in shards]
-            if has_task:
-                outputs = [
-                    fn(task, s, led) for s, led in zip(shards, ledgers)
-                ]
-            else:
-                outputs = [fn(s, led) for s, led in zip(shards, ledgers)]
-        elif self.backend == "process":
-            outputs, ledgers = self._run_process(fn, task, has_task, shards)
+        if not self.ships(len(shards)):
+            outputs = self._run_inline(fn, task, shards)
         else:
-            ledgers = [IOStats() for _ in shards]
-            executor = self._ensure_executor()
-            if has_task:
-                futures = [
-                    executor.submit(fn, task, s, led)
-                    for s, led in zip(shards, ledgers)
+            try:
+                blob = pickle.dumps(
+                    (fn, task), protocol=pickle.HIGHEST_PROTOCOL
+                )
+            except Exception as exc:
+                raise SearchError(
+                    "worker processes need a picklable worker function "
+                    "and task (module-level kernels over plain arrays); "
+                    f"got: {exc}"
+                ) from exc
+            outputs = self._settle(
+                [
+                    self._executor.submit(_process_shard, blob, s)
+                    for s in shards
                 ]
-            else:
-                futures = [
-                    executor.submit(fn, s, led)
-                    for s, led in zip(shards, ledgers)
-                ]
-            outputs = self._settle(futures)
-        merged = IOStats()
-        for ledger in ledgers:
-            merged = merged.merged_with(ledger)
-        return [r for out in outputs for r in out], merged
-
-    def _run_process(
-        self, fn, task, has_task, shards
-    ) -> tuple[list, list[IOStats]]:
-        """Ship shards to the process pool; returns (outputs, ledgers)."""
-        try:
-            blob = pickle.dumps(
-                (fn, None if not has_task else task, has_task),
-                protocol=pickle.HIGHEST_PROTOCOL,
             )
-        except Exception as exc:
-            raise SearchError(
-                "the process backend needs a picklable worker function "
-                "and task (module-level kernels over plain arrays); "
-                f"got: {exc}"
-            ) from exc
-        # A thread executor may come back when process pools are
-        # unavailable on the platform; _process_shard runs identically
-        # either way (it is self-contained over the pickled payload).
-        executor = self._ensure_executor()
-        futures = [
-            executor.submit(_process_shard, blob, s) for s in shards
-        ]
-        settled = self._settle(futures)
-        outputs = [out for out, _led in settled]
-        ledgers = [led for _out, led in settled]
-        return outputs, ledgers
+        return [r for out in outputs for r in out]
+
+    @staticmethod
+    def _run_inline(fn: Callable, task, shards) -> list:
+        """Every shard on the calling thread, failures aggregated like
+        :meth:`_settle` -- a later shard still runs after an earlier
+        one raised, so the inline fallback reports the same failures a
+        process pool would."""
+        outputs, errors = [], []
+        for i, s in enumerate(shards):
+            try:
+                outputs.append(fn(task, s))
+            except Exception as exc:
+                errors.append((i, exc))
+        WorkerPool._raise_first(errors)
+        return outputs
 
     @staticmethod
     def _settle(futures) -> list:
         """All shard results, aggregating every failure onto the first.
 
-        ``wait`` guarantees no shard is abandoned mid-flight; when
-        several shards raise, the first (in shard order) is re-raised
-        and the others are attached as notes so concurrent failures
-        stay diagnosable.
+        ``wait`` guarantees no shard is abandoned mid-flight.
         """
         wait(futures)
-        errors = [
-            (i, f.exception())
-            for i, f in enumerate(futures)
-            if f.exception() is not None
-        ]
-        if errors:
-            _first, primary = errors[0]
-            for i, exc in errors[1:]:
-                if exc is primary:
-                    # A broken pool settles every future with the same
-                    # exception instance; one report is enough.
-                    continue
-                primary.add_note(
-                    f"[worker-pool] shard {i} also failed: "
-                    f"{type(exc).__name__}: {exc}"
-                )
-            raise primary
+        WorkerPool._raise_first(
+            [
+                (i, f.exception())
+                for i, f in enumerate(futures)
+                if f.exception() is not None
+            ]
+        )
         return [f.result() for f in futures]
+
+    @staticmethod
+    def _raise_first(errors: list) -> None:
+        """Raise the first ``(shard, exception)`` failure in shard order,
+        with the others attached as notes so concurrent failures stay
+        diagnosable."""
+        if not errors:
+            return
+        _first, primary = errors[0]
+        for i, exc in errors[1:]:
+            if exc is primary:
+                # A broken pool settles every future with the same
+                # exception instance; one report is enough.
+                continue
+            primary.add_note(
+                f"[worker-pool] shard {i} also failed: "
+                f"{type(exc).__name__}: {exc}"
+            )
+        raise primary
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _ensure_executor(self) -> Executor:
-        if self._executor is None:
-            if self.backend == "process":
-                try:
-                    context = None
-                    if "fork" in multiprocessing.get_all_start_methods():
-                        context = multiprocessing.get_context("fork")
-                    self._executor = ProcessPoolExecutor(
-                        max_workers=self.workers, mp_context=context
-                    )
-                except (OSError, ValueError, ImportError):
-                    # No process support (exotic sandbox): degrade to
-                    # threads -- results are identical by construction.
-                    self.backend = "thread"
-                    self._executor = ThreadPoolExecutor(
-                        max_workers=self.workers,
-                        thread_name_prefix="iq-worker",
-                    )
-            else:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="iq-worker",
+    def _ensure_executor(self) -> ProcessPoolExecutor | None:
+        """The process pool, or None when the platform cannot start one."""
+        if self._executor is None and not self._inline_only:
+            context = None
+            if "fork" in multiprocessing.get_all_start_methods():
+                context = multiprocessing.get_context("fork")
+            try:
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.workers, mp_context=context
                 )
+            except (OSError, ValueError, ImportError):
+                # No process support (exotic sandbox): run inline.
+                self._inline_only = True
         return self._executor
 
     def close(self) -> None:
@@ -311,7 +240,4 @@ class WorkerPool:
 
     def __repr__(self) -> str:
         state = "live" if self._executor is not None else "idle"
-        return (
-            f"WorkerPool(workers={self.workers}, "
-            f"backend={self.backend!r}, {state})"
-        )
+        return f"WorkerPool(workers={self.workers}, {state})"

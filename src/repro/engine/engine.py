@@ -47,22 +47,19 @@ result assembly -- are sharded across a
 picklable kernels of :mod:`repro.engine.kernels`: their inputs are
 plain arrays (query rows, candidate masks, decoded matrices, cell-bound
 boxes), never an ``IQTree``, ``BlockFile``, or cache object, so they
-run equally on worker threads or worker *processes* -- the process
-backend is what converts simulated speedup into wall-clock speedup on
-multi-core hosts.  For the process backend the driver freezes the task
-into a shared arena once per batch, so both phases read the same
+run inline or on worker *processes* -- which is what converts simulated
+speedup into wall-clock speedup on multi-core hosts.  When the pool
+ships a batch to processes (:meth:`WorkerPool.ships`), the driver
+freezes the task into a shared arena once, so both phases read the same
 zero-copy arrays.  Every simulated-I/O charge (directory scan, page
 fetch, third-level fetch) and every side effect on shared state
 (fault-context counters, registry instruments) stays on the coordinator
 thread and is applied in query order, so results, the I/O ledger, and
-the observability counters are bit-identical for any worker count and
-either backend.
+the observability counters are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -100,7 +97,7 @@ from repro.obs.tracing import active_tracer
 from repro.obs.tracing import span as obs_span
 from repro.geometry.mbr import maxdist_matrix, mindist_matrix
 from repro.storage.cache import BufferPool
-from repro.storage.disk import IOStats, io_delta, io_snapshot
+from repro.storage.disk import io_delta, io_snapshot
 
 __all__ = [
     "QueryEngine",
@@ -116,8 +113,8 @@ def apply_degraded_effects(ctx, assembled: list[dict]) -> list:
     The assemble kernels return pure results plus the count of interval
     fallbacks they computed; this coordinator pass feeds the fault
     context's session counters (and through them the registry
-    instruments), so counter values cannot depend on scheduling -- of
-    threads or of processes.  Returns the results.
+    instruments), so counter values cannot depend on how the queries
+    were sharded over workers.  Returns the results.
     """
     results = []
     for item in assembled:
@@ -155,43 +152,26 @@ def guarantee_radii(
     return radii
 
 
-_MISSING_SPANS_WARNED = False
-
-
-def _report_missing_worker_spans(phase: str) -> None:
-    """A worker returned no span records while tracing was enabled.
-
-    This is the silent-drop failure mode the stitching protocol was
-    built to eliminate (worker spans used to vanish with
-    ``backend="process"``), so it must never pass quietly again: under
-    pytest it raises, in production it warns once per process.
-    """
-    global _MISSING_SPANS_WARNED
-    message = (
-        f"tracing active but the {phase} kernel returned no span "
-        "records for at least one query; worker-side spans would be "
-        "silently dropped from the stitched trace"
-    )
-    if "PYTEST_CURRENT_TEST" in os.environ:
-        raise SearchError(message)
-    if not _MISSING_SPANS_WARNED:
-        _MISSING_SPANS_WARNED = True
-        warnings.warn(message, RuntimeWarning, stacklevel=3)
-
-
 def _stitch_worker_records(tracer, phase: str, items: list[dict]) -> None:
     """Graft per-query worker records into the live trace, in order.
 
     ``items`` are a phase's per-query outputs, already in batch query
     order (``map_sharded`` restores it), so the stitched tree is
-    independent of worker count and backend.  The records are popped
-    off the outputs either way; without a tracer nothing is stitched.
+    independent of worker count.  The records are popped off the
+    outputs either way; without a tracer nothing is stitched.  A query
+    without records is the silent-drop failure mode the stitching
+    protocol exists to eliminate; only a kernel bug can cause it, so it
+    raises.
     """
     per_query = [item.pop("spans", ()) for item in items]
     if tracer is None:
         return
     if any(not recs for recs in per_query):
-        _report_missing_worker_spans(phase)
+        raise SearchError(
+            f"tracing active but the {phase} kernel returned no span "
+            "records for at least one query; worker-side spans would be "
+            "silently dropped from the stitched trace"
+        )
     tracer.stitch([rec for recs in per_query for rec in recs])
 
 
@@ -237,15 +217,15 @@ class QueryEngine:
         :meth:`~repro.core.tree.IQTree.use_decoded_cache`.  When
         omitted, a cache already attached to the tree is used.
     backend:
-        Executor backend for ``workers > 1``: ``"process"`` (real
-        multi-core scaling), ``"thread"``, or ``"auto"`` (default:
-        process when parallel).  Results are bit-identical either way.
+        ``"auto"`` (default) or ``"process"``; both mean the one
+        executor (see :class:`~repro.engine.concurrent.WorkerPool`).
+        Anything else raises :class:`~repro.exceptions.SearchError`.
     worker_pool:
         An externally owned :class:`~repro.engine.concurrent.WorkerPool`
         to execute on instead of creating one (the shard router shares
         a single pool across every shard engine this way).  The caller
         keeps ownership: :meth:`close` leaves a borrowed pool running.
-        Mutually exclusive with ``workers``/``backend``.
+        Mutually exclusive with ``workers``.
     """
 
     def __init__(
@@ -257,6 +237,10 @@ class QueryEngine:
         backend: str = "auto",
         worker_pool: WorkerPool | None = None,
     ):
+        if backend not in ("auto", "process"):
+            raise SearchError(
+                f"backend must be 'auto' or 'process', got {backend!r}"
+            )
         self.tree = tree
         if pool is not None:
             tree.use_buffer_pool(pool)
@@ -266,7 +250,7 @@ class QueryEngine:
             self._worker_pool = worker_pool
             self._owns_workers = False
         else:
-            self._worker_pool = WorkerPool(workers, backend=backend)
+            self._worker_pool = WorkerPool(workers)
             self._owns_workers = True
         self.workers = self._worker_pool.workers
 
@@ -286,11 +270,6 @@ class QueryEngine:
         """The decoded-page cache currently attached to the tree."""
         return self.tree._decoded_cache
 
-    @property
-    def backend(self) -> str:
-        """The resolved executor backend ("thread" or "process")."""
-        return self._worker_pool.backend
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -308,17 +287,6 @@ class QueryEngine:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # Worker shipping
-    # ------------------------------------------------------------------
-    def _ships_to_processes(self, n_queries: int) -> bool:
-        """Whether this batch's kernels will cross a process boundary."""
-        return (
-            self._worker_pool.backend == "process"
-            and self._worker_pool.workers > 1
-            and n_queries > 1
-        )
 
     # ------------------------------------------------------------------
     # Batches
@@ -457,18 +425,17 @@ class QueryEngine:
                     dmax=dmax,
                     trace=tracer is not None,
                 )
-                if self._ships_to_processes(n_queries):
+                if self._worker_pool.ships(n_queries):
                     arena = SharedArena.create()
-                if arena is not None:
                     task = task.freeze(arena)
                     arena.seal()
                 # Phase 1 (workers, pure): per-query point-level bounds;
                 # collect the refinement set (kNN: quantized points whose
                 # lower bound is within the k-th smallest upper bound).
-                plans, plan_io = self._worker_pool.map_sharded(
+                plans = self._worker_pool.map_sharded(
                     plan_knn_shard if knn else plan_range_shard,
                     range(n_queries),
-                    task=task,
+                    task,
                 )
                 _stitch_worker_records(tracer, "plan", plans)
                 all_requests: set[tuple[int, int]] = set()
@@ -484,10 +451,10 @@ class QueryEngine:
                     refine_span.attrs["records"] = len(all_requests)
 
                 # Phase 3 (workers, pure): per-query result assembly.
-                assembled, assemble_io = self._worker_pool.map_sharded(
+                assembled = self._worker_pool.map_sharded(
                     assemble_knn_shard if knn else assemble_range_shard,
                     range(n_queries),
-                    task=replace(task, plans=plans, points=points),
+                    replace(task, plans=plans, points=points),
                 )
                 _stitch_worker_records(tracer, "assemble", assembled)
                 results = apply_degraded_effects(tree._fault_ctx, assembled)
@@ -499,8 +466,7 @@ class QueryEngine:
             if arena is not None:
                 arena.dispose()
         stats = self._batch_stats(
-            n_queries, before, pool_before, fault_before, cache,
-            exact_store, plan_io.merged_with(assemble_io),
+            n_queries, before, pool_before, fault_before, cache, exact_store
         )
         self._observe_batch(stats, results, k=k)
         return BatchResult(queries=results, stats=stats)
@@ -525,16 +491,10 @@ class QueryEngine:
         )
 
     def _batch_stats(
-        self, n_queries, before, pool_before, fault_before, cache,
-        exact_store, worker_io: IOStats | None = None,
+        self, n_queries, before, pool_before, fault_before, cache, exact_store
     ) -> BatchStats:
         tree = self.tree
         io = io_delta(before, io_snapshot(tree.disk))
-        if worker_io is not None:
-            # Workers charge no simulated I/O by design (the ledgers
-            # exist so the merge discipline is exercised and pinned);
-            # merging keeps the accounting honest if that ever changes.
-            io = io.merged_with(worker_io)
         if self.pool is None:
             hits = misses = 0
         else:

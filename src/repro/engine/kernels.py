@@ -11,8 +11,8 @@ them shippable to *worker processes* (everything here pickles), which
 is what lets ``QueryEngine(workers=N)`` scale on real cores instead of
 serializing on the GIL.
 
-Both executor backends (and the serial ``workers=1`` path) run exactly
-these functions, so thread/process/serial execution is bit-identical by
+Worker processes and the inline ``workers=1`` path run exactly these
+functions, so parallel and serial execution are bit-identical by
 construction; the equivalence tests in ``tests/test_engine_parallel.py``
 pin it.
 
@@ -39,7 +39,7 @@ from repro.core.search import KBest, cell_interval, degraded_fields
 from repro.engine.shm import ArrayRef, resolve
 from repro.engine.stats import QueryStats
 from repro.geometry.mbr import maxdist_to_boxes, mindist_to_boxes
-from repro.obs.tracing import SpanRecord, ledger_state
+from repro.obs.tracing import SpanRecord
 from repro.storage.runtime_faults import LostPage
 
 __all__ = [
@@ -407,52 +407,43 @@ def _assemble(task: BatchTask, i: int, answer) -> tuple[dict, dict]:
 #
 # Every entry point returns one dict per query.  When ``task.trace`` is
 # set, each also carries one picklable
-# :class:`~repro.obs.tracing.SpanRecord` under ``"spans"``, windowed on
-# the worker's private ledger (whose deltas the determinism contract
-# keeps at zero -- so records are identical for any worker count or
-# backend).  The coordinator pops them off and stitches them into the
-# ambient tracer in query order.
+# :class:`~repro.obs.tracing.SpanRecord` under ``"spans"``: a name and
+# attributes with zero simulated I/O, since kernels charge nothing.
+# The coordinator pops them off and stitches them into the ambient
+# tracer in query order.
 
-def _per_query(task: BatchTask, indices, ledger, span, phase, fn) -> list:
+def _per_query(task: BatchTask, indices, span, phase, fn) -> list:
     """Run ``phase(task, i, fn)`` for each query index of one shard."""
     task = task.resolve()
     out = []
     for i in indices:
-        before = ledger_state(ledger) if task.trace else None
         item, attrs = phase(task, i, fn)
         if task.trace:
-            item["spans"] = (
-                SpanRecord.capture(
-                    span, ledger, before, query=int(i), **attrs
-                ),
-            )
+            attrs["query"] = int(i)
+            item["spans"] = (SpanRecord(span, tuple(sorted(attrs.items()))),)
         out.append(item)
     return out
 
 
-def plan_knn_shard(task: BatchTask, indices, _ledger) -> list[dict]:
+def plan_knn_shard(task: BatchTask, indices) -> list[dict]:
     """Phase 1 (pure): per-query point-level bounds + refinement picks."""
-    return _per_query(
-        task, indices, _ledger, "plan-query", _plan, plan_knn_query
-    )
+    return _per_query(task, indices, "plan-query", _plan, plan_knn_query)
 
 
-def plan_range_shard(task: BatchTask, indices, _ledger) -> list[dict]:
+def plan_range_shard(task: BatchTask, indices) -> list[dict]:
     """Phase 1 (pure): per-query candidate classification."""
-    return _per_query(
-        task, indices, _ledger, "plan-query", _plan, plan_range_query
-    )
+    return _per_query(task, indices, "plan-query", _plan, plan_range_query)
 
 
-def assemble_knn_shard(task: BatchTask, indices, _ledger) -> list[dict]:
+def assemble_knn_shard(task: BatchTask, indices) -> list[dict]:
     """Phase 3 (pure): per-query kNN result assembly."""
     return _per_query(
-        task, indices, _ledger, "assemble-query", _assemble, _knn_answer
+        task, indices, "assemble-query", _assemble, _knn_answer
     )
 
 
-def assemble_range_shard(task: BatchTask, indices, _ledger) -> list[dict]:
+def assemble_range_shard(task: BatchTask, indices) -> list[dict]:
     """Phase 3 (pure): per-query range result assembly."""
     return _per_query(
-        task, indices, _ledger, "assemble-query", _assemble, _range_answer
+        task, indices, "assemble-query", _assemble, _range_answer
     )

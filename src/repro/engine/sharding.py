@@ -34,12 +34,10 @@ simulated disk -- and serves kNN/range batches scatter-gather style:
 
 * **Deterministic merge.**  Per-shard answers, ``IOStats`` ledgers,
   ``BatchStats``, and observability counters are merged *in shard-visit
-  order* on the router (the same discipline the worker pool applies to
-  its shard ledgers), and all shards execute through **one** shared
+  order* on the router, and all shards execute through **one** shared
   :class:`~repro.engine.concurrent.WorkerPool`.  Results and counters
-  are therefore bit-identical for any worker count and either backend,
-  and the *answers* are identical to the single-tree engine for any
-  shard count.
+  are therefore bit-identical for any worker count, and the *answers*
+  are identical to the single-tree engine for any shard count.
 
 * **Failover.**  A dead shard (``kill_shard``) -- or one whose engine
   raises a storage/query-data error mid-batch, e.g. under fault
@@ -265,7 +263,7 @@ class ShardRouter:
         it).
     shards:
         Shard count (clamped to the page count).
-    workers, backend:
+    workers:
         One shared :class:`~repro.engine.concurrent.WorkerPool` sized
         here executes every shard's per-query phases; see
         :class:`~repro.engine.QueryEngine` for the determinism contract.
@@ -282,7 +280,6 @@ class ShardRouter:
         tree: IQTree,
         shards: int,
         workers: int = 1,
-        backend: str = "auto",
         pool: int | None = None,
         decode_cache: int | None = None,
     ):
@@ -298,7 +295,7 @@ class ShardRouter:
         self._lowers = tree._lowers.copy()
         self._uppers = tree._uppers.copy()
         self._counts = tree._counts.copy()
-        self._worker_pool = WorkerPool(workers, backend=backend)
+        self._worker_pool = WorkerPool(workers)
         self.workers = self._worker_pool.workers
 
         groups = partition_directory(tree, shards)
@@ -340,11 +337,6 @@ class ShardRouter:
     @property
     def n_shards(self) -> int:
         return len(self.shards)
-
-    @property
-    def backend(self) -> str:
-        """The shared worker pool's resolved backend."""
-        return self._worker_pool.backend
 
     def page_of(self, point_id: int) -> int:
         """The global page a point id lives on (truth-containment aid)."""

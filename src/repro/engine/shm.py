@@ -1,6 +1,6 @@
 """Zero-copy shipment of large numpy arrays to worker processes.
 
-The process-backed :class:`~repro.engine.concurrent.WorkerPool` must get
+A parallel :class:`~repro.engine.concurrent.WorkerPool` must get
 a batch's read-only inputs -- decoded code matrices, cell-bound boxes,
 query rows -- into its workers.  Pickling them into every task payload
 would serialize megabytes on the coordinator per shard; instead the

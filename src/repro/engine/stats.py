@@ -66,7 +66,7 @@ class BatchStats:
         :class:`~repro.engine.page_cache.DecodedPageCache` (zero when
         none is attached); these paid neither fetch nor decode.
     workers:
-        Worker-thread count the batch executed with (1 = serial).
+        Worker count the batch executed with (1 = serial).
     """
 
     n_queries: int
@@ -96,8 +96,7 @@ class BatchStats:
 
         ``shard_stats`` are the stats of each *contacted* shard, in
         shard-visit order; their I/O ledgers are merged in that order
-        (the same discipline :class:`~repro.engine.concurrent.WorkerPool`
-        applies to worker ledgers) and every additive counter -- pages,
+        and every additive counter -- pages,
         refinements, pool traffic, fault-tolerance activity -- is
         summed.  Two fields are deliberately *not* taken from the
         shards: ``n_queries`` is the router's batch size (each shard

@@ -3,7 +3,7 @@
 Both exporters serialize only the *simulated* timeline
 (``Span.sim_start``/``sim_seconds``), never wall clock or random ids,
 so exporting the same fixed workload twice -- or once with 1 worker
-and once with 8 on the process backend -- produces byte-identical
+and once with 8 worker processes -- produces byte-identical
 output.  That determinism is what lets CI diff exported traces and
 ``scripts/validate_trace.py`` assert structural invariants.
 

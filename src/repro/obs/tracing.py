@@ -14,13 +14,12 @@ Spans carry **two** clocks.  ``wall_seconds`` is the host's
 ``perf_counter`` delta -- useful to humans, worthless for comparison
 (it varies run to run).  ``sim_start``/``sim_seconds`` place the span
 on the *simulated-seconds* timeline read from the tracer's clock disk,
-so a trace of a fixed workload is bit-identical across runs, worker
-counts, and executor backends; the exporters in
+so a trace of a fixed workload is bit-identical across runs and worker
+counts; the exporters in
 :mod:`repro.obs.export` emit only the simulated timeline.
 
-Work executed in worker threads or processes cannot touch the ambient
-tracer (a process cannot see it, and a thread mutating the shared stack
-would interleave with the coordinator).  Worker kernels instead return
+Work executed in worker processes cannot touch the ambient tracer (a
+process cannot see it).  Worker kernels instead return
 compact, picklable :class:`SpanRecord` lists which the coordinator
 grafts into the live tree with :meth:`Tracer.stitch` -- in query order,
 so the stitched tree is independent of how work was sharded.
@@ -109,14 +108,13 @@ def _snapshot(disk) -> SpanIO:
 class SpanRecord:
     """A completed span as plain, picklable data.
 
-    What a worker kernel hands back across the thread/process boundary:
-    no live objects, only the name, attributes, and ledger deltas.
-    ``sim_start``/``sim_seconds`` are read from the *worker's* private
-    ledger (which the determinism contract keeps at zero -- workers
-    charge no simulated I/O), so records are bit-identical for any
-    worker count and either backend.  No wall clock is recorded: worker
-    wall time is scheduling noise, and the enclosing coordinator span
-    already times the whole phase for humans.
+    What a worker kernel hands back across the process boundary: no
+    live objects, only the name, attributes, and simulated-I/O figures.
+    Worker kernels charge no simulated I/O, so they build records as
+    ``SpanRecord(name, attrs)`` with every figure zero -- identical for
+    any worker count.  No wall clock is recorded: worker wall time is
+    scheduling noise, and the enclosing coordinator span already times
+    the whole phase for humans.
 
     :meth:`Tracer.stitch` turns records back into :class:`Span` nodes,
     re-basing ``sim_start`` onto the coordinator's simulated clock.
@@ -130,36 +128,6 @@ class SpanRecord:
     blocks_read: int = 0
     blocks_overread: int = 0
     children: tuple = ()
-
-    @staticmethod
-    def capture(name: str, ledger, before, **attrs) -> "SpanRecord":
-        """Build a record from a worker-ledger snapshot pair.
-
-        ``before`` is ``ledger_state(ledger)`` taken when the unit of
-        work started; the record's window is the delta since then.
-        """
-        after = ledger_state(ledger)
-        return SpanRecord(
-            name=name,
-            attrs=tuple(sorted(attrs.items())),
-            sim_start=before[3],
-            sim_seconds=after[3] - before[3],
-            seeks=after[0] - before[0],
-            blocks_read=after[1] - before[1],
-            blocks_overread=after[2] - before[2],
-        )
-
-
-def ledger_state(ledger) -> tuple[int, int, int, float]:
-    """Snapshot an IOStats-shaped ledger as a plain tuple."""
-    if ledger is None:
-        return (0, 0, 0, 0.0)
-    return (
-        ledger.seeks,
-        ledger.blocks_read,
-        ledger.blocks_overread,
-        ledger.elapsed,
-    )
 
 
 @dataclass
@@ -220,7 +188,7 @@ class Span:
     def sim_dict(self) -> dict:
         """Deterministic projection: everything except wall clock.
 
-        Bit-identical across runs, worker counts, and backends for a
+        Bit-identical across runs and worker counts for a
         fixed workload -- what the sweep tests compare and the
         exporters serialize.
         """
@@ -329,9 +297,8 @@ class Tracer:
 
         Records become children of ``parent`` (default: the currently
         open span), re-based onto this tracer's simulated clock: a
-        record's ``sim_start`` is its offset within the worker's
-        private ledger (zero under the workers-charge-nothing
-        contract), added to the clock's reading *now*.  Call in query
+        record's ``sim_start`` (zero for worker kernels, which charge
+        nothing) is added to the clock's reading *now*.  Call in query
         order so the stitched tree does not depend on how the work was
         sharded across workers.
         """

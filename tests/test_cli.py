@@ -235,6 +235,7 @@ class TestChaos:
             assert scenario in out
 
     def test_writes_backend_rejected(self, quantized_index):
+        """The ``--backend`` flag is gone: workers > 1 means processes."""
         with pytest.raises(SystemExit):
             main(
                 [
@@ -242,6 +243,6 @@ class TestChaos:
                     str(quantized_index),
                     "--writes",
                     "--backend",
-                    "carrier-pigeon",
+                    "process",
                 ]
             )

@@ -290,7 +290,7 @@ class TestConcurrency:
         want = QueryEngine(quiet).knn_batch(queries, k=3)
 
         noisy = IQTree.build(data, disk=small_disk)
-        engine = QueryEngine(noisy, workers=2, backend="process")
+        engine = QueryEngine(noisy, workers=2)
         try:
             got_all = self._churn_and_query(noisy, engine, queries, k=3)
             for got in got_all:

@@ -2,18 +2,22 @@
 
 The worker pool shards only pure CPU phases; every simulated-I/O charge
 and every shared-state side effect stays on the coordinator.  These
-tests pin the consequence: for any worker count and either executor
-backend (threads or processes), a batch returns the same results,
-charges the same I/O ledger, and lands the same values in every
-observability counter -- including under read-path fault injection,
-where degraded results and session counters must also agree.
+tests pin the consequence: for any worker count -- inline, on worker
+processes, or inline again because the platform cannot start a process
+pool -- a batch returns the same results, charges the same I/O ledger,
+and lands the same values in every observability counter, including
+under read-path fault injection, where degraded results and session
+counters must also agree.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro.engine.concurrent as concurrent_mod
 from repro.core.tree import IQTree
-from repro.engine import DecodedPageCache, QueryEngine, WorkerPool
+from repro.engine import DecodedPageCache, QueryEngine, ShardRouter, WorkerPool
 from repro.exceptions import SearchError
 from repro.obs.instruments import REGISTRY
 from repro.storage.cache import BufferPool
@@ -56,26 +60,47 @@ def ledger_tuple(io: IOStats) -> tuple:
     return (io.seeks, io.blocks_read, io.blocks_overread, io.elapsed)
 
 
-# Module-level worker functions: picklable, so they run on either
-# backend (closures and lambdas are thread-only).
-def _square_shard(shard, ledger):
+# Module-level worker functions: picklable, so they run on worker
+# processes.
+def _square_shard(task, shard):
     return [x * x for x in shard]
 
 
-def _scaled_shard(task, shard, ledger):
+def _scaled_shard(task, shard):
     return [task["scale"] * x for x in shard]
 
 
-def _charge_shard(shard, ledger):
-    for x in shard:
-        ledger.seeks += 1
-        ledger.blocks_read += x
-        ledger.elapsed += 0.5
+def _copy_shard(task, shard):
     return list(shard)
 
 
-def _boom_every_shard(shard, ledger):
+def _boom_on_five(task, shard):
+    if 5 in shard:
+        raise ValueError("shard failure")
+    return list(shard)
+
+
+def _boom_every_shard(task, shard):
     raise ValueError(f"shard at {shard[0]} failed")
+
+
+def _no_process_pool(*args, **kwargs):
+    raise OSError("process pools unavailable on this platform")
+
+
+@pytest.fixture
+def make_pool(monkeypatch):
+    """``make_pool(workers, executor)``: a pool whose maps run on
+    worker processes (``"process"``) or on a platform that cannot start
+    a process pool, so they run inline (``"inline"``)."""
+    def make(workers, executor):
+        if executor == "inline":
+            monkeypatch.setattr(
+                concurrent_mod, "ProcessPoolExecutor", _no_process_pool
+            )
+        return WorkerPool(workers)
+
+    return make
 
 
 class TestWorkerPool:
@@ -83,13 +108,18 @@ class TestWorkerPool:
         with pytest.raises(SearchError):
             WorkerPool(0)
 
-    def test_backend_validated_and_auto_resolved(self):
-        with pytest.raises(SearchError):
-            WorkerPool(2, backend="fiber")
-        assert WorkerPool(1).backend == "thread"
-        assert WorkerPool(4).backend == "process"
-        assert WorkerPool(4, backend="thread").backend == "thread"
-        assert "backend" in repr(WorkerPool(4))
+    def test_backend_validated_and_auto_resolved(self, data):
+        """The engine's ``backend`` keyword survives only as an alias
+        of the one executor: ``auto`` and ``process`` select nothing,
+        and anything else -- threads included -- is rejected."""
+        for backend in ("fiber", "thread"):
+            with pytest.raises(SearchError, match="backend"):
+                QueryEngine(build_tree(data), workers=2, backend=backend)
+        for backend in ("auto", "process"):
+            engine = QueryEngine(build_tree(data), workers=2, backend=backend)
+            assert engine.workers == 2
+            engine.close()
+        assert repr(WorkerPool(4)) == "WorkerPool(workers=4, idle)"
 
     def test_sharding_is_contiguous_balanced_deterministic(self):
         pool = WorkerPool(4)
@@ -105,51 +135,37 @@ class TestWorkerPool:
         assert shards == [[1], [2], [3]]
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_map_sharded_preserves_item_order(self, workers, backend):
-        pool = WorkerPool(workers, backend=backend)
-        results, merged = pool.map_sharded(_square_shard, range(23))
+    @pytest.mark.parametrize("executor", ["process", "inline"])
+    def test_map_sharded_preserves_item_order(
+        self, make_pool, workers, executor
+    ):
+        pool = make_pool(workers, executor)
+        results = pool.map_sharded(_square_shard, range(23), None)
         assert results == [x * x for x in range(23)]
-        assert ledger_tuple(merged) == (0, 0, 0, 0.0)
         pool.close()
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_task_payload_shared_by_every_shard(self, backend):
-        pool = WorkerPool(3, backend=backend)
-        results, _ = pool.map_sharded(
-            _scaled_shard, range(10), task={"scale": 7}
-        )
+    @pytest.mark.parametrize("executor", ["process", "inline"])
+    def test_task_payload_shared_by_every_shard(self, make_pool, executor):
+        pool = make_pool(3, executor)
+        results = pool.map_sharded(_scaled_shard, range(10), {"scale": 7})
         assert results == [7 * x for x in range(10)]
         pool.close()
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_ledgers_merge_in_shard_order(self, backend):
-        serial = WorkerPool(1).map_sharded(_charge_shard, range(9))
-        pool = WorkerPool(3, backend=backend)
-        parallel = pool.map_sharded(_charge_shard, range(9))
-        pool.close()
-        assert serial[0] == parallel[0]
-        assert ledger_tuple(serial[1]) == ledger_tuple(parallel[1])
-        assert parallel[1].seeks == 9
-        assert parallel[1].blocks_read == sum(range(9))
-
     def test_worker_exception_propagates(self):
-        def boom(shard, ledger):
-            if 5 in shard:
-                raise ValueError("shard failure")
-            return list(shard)
-
+        pool = WorkerPool(3)
         with pytest.raises(ValueError, match="shard failure"):
-            WorkerPool(3, backend="thread").map_sharded(boom, range(9))
+            pool.map_sharded(_boom_on_five, range(9), None)
+        pool.close()
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_concurrent_failures_are_aggregated(self, backend):
-        """Satellite regression: when several shards fail, only the
-        first exception used to surface -- the other shards' failures
-        vanished.  Now they ride along as ``__notes__`` entries."""
-        pool = WorkerPool(2, backend=backend)
+    @pytest.mark.parametrize("executor", ["process", "inline"])
+    def test_concurrent_failures_are_aggregated(self, make_pool, executor):
+        """Regression: when several shards fail, only the first
+        exception used to surface -- the other shards' failures
+        vanished.  Now they ride along as ``__notes__`` entries, on
+        worker processes and on the inline fallback alike."""
+        pool = make_pool(2, executor)
         with pytest.raises(ValueError, match="shard at 0 failed") as info:
-            pool.map_sharded(_boom_every_shard, range(4))
+            pool.map_sharded(_boom_every_shard, range(4), None)
         pool.close()
         notes = getattr(info.value, "__notes__", [])
         assert any(
@@ -158,27 +174,29 @@ class TestWorkerPool:
         )
 
     def test_unpicklable_task_raises_search_error(self):
-        pool = WorkerPool(2, backend="process")
+        pool = WorkerPool(2)
         with pytest.raises(SearchError, match="picklable"):
-            pool.map_sharded(lambda s, led: list(s), range(8))
+            pool.map_sharded(lambda task, s: list(s), range(8), None)
         pool.close()
 
     def test_close_is_idempotent_and_reusable(self):
-        pool = WorkerPool(2, backend="thread")
-        pool.map_sharded(lambda s, led: list(s), range(4))
+        pool = WorkerPool(2)
+        pool.map_sharded(_copy_shard, range(4), None)
         pool.close()
         pool.close()
-        results, _ = pool.map_sharded(lambda s, led: list(s), range(4))
+        results = pool.map_sharded(_copy_shard, range(4), None)
         assert results == [0, 1, 2, 3]
+        pool.close()
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_single_shard_runs_inline(self, backend):
-        # One shard never pays an executor hop -- lambdas work even on
-        # the process backend because nothing crosses a process.
-        pool = WorkerPool(4, backend=backend)
-        results, _ = pool.map_sharded(lambda s, led: list(s), [42])
+    @pytest.mark.parametrize("executor", ["process", "inline"])
+    def test_single_shard_runs_inline(self, make_pool, executor):
+        # One shard never pays an executor hop -- a lambda works because
+        # nothing crosses a process.
+        pool = make_pool(4, executor)
+        results = pool.map_sharded(lambda task, s: list(s), [42], None)
         assert results == [42]
         assert pool._executor is None
+        assert not pool.ships(1)
         pool.close()
 
 
@@ -310,21 +328,15 @@ class TestChaosEquivalence:
 class TestBackendSweep:
     """Property-style sweep of the determinism contract.
 
-    For workers in {1, 2, 4} x backend in {thread, process} x fault
-    injection {off, on}: knn and range batch results, the IOStats
-    ledger, the fault-context session counters, and every observability
-    counter must be bit-identical to the serial (workers=1) run.
+    For workers in {1, 2, 4} x fault injection {off, on}: knn and range
+    batch results, the IOStats ledger, the fault-context session
+    counters, and every observability counter must be bit-identical to
+    the serial (workers=1) run.
     """
 
-    GRID = [
-        (1, "thread"),
-        (2, "thread"),
-        (4, "thread"),
-        (2, "process"),
-        (4, "process"),
-    ]
+    WORKERS = [1, 2, 4]
 
-    def run_once(self, data, queries, workers, backend, faults, registry):
+    def run_once(self, data, queries, workers, faults, registry):
         tree = build_tree(data)
         ctx = None
         if faults:
@@ -333,7 +345,7 @@ class TestBackendSweep:
             inj.fail_always(tree._exact_file.extent_start)
             tree.disk.install_fault_injector(inj)
             ctx = tree.use_fault_tolerance()
-        with QueryEngine(tree, workers=workers, backend=backend) as engine:
+        with QueryEngine(tree, workers=workers) as engine:
             knn = engine.knn_batch(queries, k=6)
             rng_res = engine.range_batch(queries, 0.35)
         counters = registry.collect()
@@ -371,16 +383,16 @@ class TestBackendSweep:
         self, data, queries, faults, live_registry
     ):
         base_knn, base_rng, base_counters, base_session = self.run_once(
-            data, queries, 1, "thread", faults, live_registry
+            data, queries, 1, faults, live_registry
         )
-        for workers, backend in self.GRID[1:]:
+        for workers in self.WORKERS[1:]:
             knn, rng_res, counters, session = self.run_once(
-                data, queries, workers, backend, faults, live_registry
+                data, queries, workers, faults, live_registry
             )
             self.assert_batches_identical(base_knn, knn)
             self.assert_batches_identical(base_rng, rng_res)
-            assert session == base_session, (workers, backend)
-            assert counters == base_counters, (workers, backend)
+            assert session == base_session, workers
+            assert counters == base_counters, workers
 
 
 class TestDecodedCacheInEngine:
@@ -432,13 +444,66 @@ class TestDecodedCacheInEngine:
         tree = build_tree(data)
         engine = tree.query_engine(pool=64, workers=3, decode_cache=1 << 20)
         assert engine.workers == 3
-        assert engine.backend == "process"  # auto resolves for workers>1
         assert isinstance(engine.pool, BufferPool)
         assert isinstance(engine.decode_cache, DecodedPageCache)
         assert tree.decoded_cache is engine.decode_cache
-        threaded = tree.query_engine(workers=2, backend="thread")
-        assert threaded.backend == "thread"
 
     def test_invalid_workers_rejected(self, data):
         with pytest.raises(SearchError):
             QueryEngine(build_tree(data), workers=0)
+
+
+class TestMissingProcessPool:
+    """A platform that cannot start a process pool runs every map
+    inline, with answers, ledgers and counters identical to serial."""
+
+    @staticmethod
+    def batch_state(batch, *ctxs) -> tuple:
+        return (
+            [(r.ids.tolist(), r.distances.tolist(), r.stats, r.degraded,
+              r.intervals, r.lost_pages,
+              None if r.certain is None else r.certain.tolist())
+             for r in batch],
+            ledger_tuple(batch.stats.io),
+            replace(batch.stats, io=None, workers=None),
+            [(c.retries, c.quarantined, c.degraded_results, c.lost_pages)
+             for c in ctxs],
+        )
+
+    def run_once(self, data, queries, workers):
+        tree = build_tree(data)
+        inj = ReadFaultInjector()
+        inj.fail_always(tree._quant_file.extent_start + 1)
+        inj.fail_always(tree._exact_file.extent_start)
+        tree.disk.install_fault_injector(inj)
+        ctx = tree.use_fault_tolerance()
+        with QueryEngine(tree, workers=workers) as engine:
+            knn = self.batch_state(engine.knn_batch(queries, k=6), ctx)
+            rng_res = self.batch_state(engine.range_batch(queries, 0.35), ctx)
+            assert engine._worker_pool._executor is None
+            fell_back = [engine._worker_pool._inline_only]
+        router = ShardRouter(build_tree(data), shards=2, workers=workers)
+        for shard in router.shards:
+            inj = ReadFaultInjector()
+            inj.fail_always(shard.tree._quant_file.extent_start)
+            shard.tree.disk.install_fault_injector(inj)
+        ctxs = router.use_fault_tolerance()
+        try:
+            sharded = router.knn_batch(queries, k=6)
+            assert router._worker_pool._executor is None
+            fell_back.append(router._worker_pool._inline_only)
+        finally:
+            router.close()
+        return knn, rng_res, self.batch_state(sharded, *ctxs), fell_back
+
+    def test_batches_match_serial_without_an_executor(
+        self, data, queries, monkeypatch
+    ):
+        *serial, serial_fell_back = self.run_once(data, queries, 1)
+        assert serial_fell_back == [False, False]  # never tried
+        monkeypatch.setattr(
+            concurrent_mod, "ProcessPoolExecutor", _no_process_pool
+        )
+        *fallback, fell_back = self.run_once(data, queries, 2)
+        assert fell_back == [True, True]  # tried, then ran inline
+        assert fallback == serial

@@ -3,8 +3,8 @@
 The :class:`~repro.engine.ShardRouter` contract mirrors the worker
 pool's (see ``test_engine_parallel.py``) one level up: for a fixed
 shard count, results, the merged ``IOStats`` ledger, and every
-observability counter are bit-identical for any worker count, either
-backend, and under read-path fault injection; across shard counts the
+observability counter are bit-identical for any worker count and
+under read-path fault injection; across shard counts the
 *answers* are identical to the plain single-tree engine.  A dead shard
 degrades to lost-page bounds that provably contain the truth instead
 of failing the batch.
@@ -81,7 +81,7 @@ def arena_files() -> set:
 
 
 # Module-level so it pickles to process workers by qualified name.
-def _boom_plan_shard(task, shard, ledger):
+def _boom_plan_shard(task, shard):
     raise StorageError("injected plan-phase failure")
 
 
@@ -172,29 +172,20 @@ class TestAnswerParity:
 
 
 class TestDeterminismSweep:
-    """shards x workers x backend x faults: bit-identical, always.
+    """shards x workers x faults: bit-identical, always.
 
     The router analogue of ``TestBackendSweep`` one file over: for a
     fixed shard count, the merged results, ledger, and observability
     counters must not depend on how many workers execute the per-query
-    kernels, which executor backend runs them, or whether the shard
-    trees are running under read-path fault injection.
+    kernels, or whether the shard trees are running under read-path
+    fault injection.
     """
 
-    GRID = [
-        (1, "thread"),
-        (2, "thread"),
-        (4, "thread"),
-        (2, "process"),
-        (4, "process"),
-    ]
+    WORKERS = [1, 2, 4]
 
-    def run_once(
-        self, data, queries, n_shards, workers, backend, faults, registry
-    ):
+    def run_once(self, data, queries, n_shards, workers, faults, registry):
         router = ShardRouter(
-            build_tree(data), shards=n_shards, workers=workers,
-            backend=backend,
+            build_tree(data), shards=n_shards, workers=workers
         )
         if faults:
             # One persistent quantized-page fault per shard tree, at a
@@ -241,19 +232,18 @@ class TestDeterminismSweep:
         self, data, queries, n_shards, faults, live_registry
     ):
         base_knn, base_rng, base_counters = self.run_once(
-            data, queries, n_shards, 1, "thread", faults, live_registry
+            data, queries, n_shards, 1, faults, live_registry
         )
         if faults:
             assert base_knn.stats.degraded
-        for workers, backend in self.GRID[1:]:
+        for workers in self.WORKERS[1:]:
             knn, rng_res, counters = self.run_once(
-                data, queries, n_shards, workers, backend, faults,
-                live_registry,
+                data, queries, n_shards, workers, faults, live_registry
             )
             assert knn.stats.workers == workers
             self.assert_batches_identical(base_knn, knn)
             self.assert_batches_identical(base_rng, rng_res)
-            assert counters == base_counters, (workers, backend)
+            assert counters == base_counters, workers
 
 
 class TestDeadShardFailover:
@@ -453,7 +443,7 @@ class TestArenaLifecycle:
             engine_mod, "plan_knn_shard", _boom_plan_shard
         )
         before = arena_files()
-        engine = QueryEngine(build_tree(data), workers=2, backend="process")
+        engine = QueryEngine(build_tree(data), workers=2)
         # The engine wraps the worker's StorageError into a per-query
         # QueryDataError; either way the batch fails and must clean up.
         with pytest.raises((StorageError, QueryDataError), match="injected"):
@@ -473,9 +463,7 @@ class TestArenaLifecycle:
             engine_mod, "plan_knn_shard", _boom_plan_shard
         )
         before = arena_files()
-        router = ShardRouter(
-            build_tree(data), shards=2, workers=2, backend="process"
-        )
+        router = ShardRouter(build_tree(data), shards=2, workers=2)
         got = router.knn_batch(queries, k=5)
         router.close()
         gc.collect()
@@ -530,7 +518,6 @@ class TestSharedWorkerPool:
         router = ShardRouter(build_tree(data), shards=3, workers=2)
         pools = {id(s.engine._worker_pool) for s in router.shards}
         assert len(pools) == 1
-        assert router.backend in ("thread", "process")
         router.close()
 
     def test_borrowed_pool_survives_engine_close(self, data, queries):
@@ -546,18 +533,17 @@ class TestDistributedTracing:
 
     The tentpole's acceptance bar: a ``trace_query(router)`` span tree
     (names, structure, simulated-seconds durations, own-I/O) is
-    bit-identical across worker counts and backends at a fixed shard
+    bit-identical across worker counts at a fixed shard
     count, the own-I/O partition invariant extends to the composite
     router ledger (faults included), and every shard visit leaves a
     ``shard-visit`` span carrying its routing decision.
     """
 
-    GRID = [(1, "thread"), (2, "thread"), (4, "process")]
+    WORKERS = [1, 2, 4]
 
-    def trace_once(self, data, queries, n_shards, workers, backend, faults):
+    def trace_once(self, data, queries, n_shards, workers, faults):
         router = ShardRouter(
-            build_tree(data), shards=n_shards, workers=workers,
-            backend=backend,
+            build_tree(data), shards=n_shards, workers=workers
         )
         if faults:
             for shard in router.shards:
@@ -584,17 +570,15 @@ class TestDistributedTracing:
         self, data, queries, faults
     ):
         base_tracer, base_batch = self.trace_once(
-            data, queries, 2, 1, "thread", faults
+            data, queries, 2, 1, faults
         )
         if faults:
             assert base_batch.stats.degraded
         base = json.dumps(base_tracer.root.sim_dict(), sort_keys=True)
-        for workers, backend in self.GRID[1:]:
-            tracer, _ = self.trace_once(
-                data, queries, 2, workers, backend, faults
-            )
+        for workers in self.WORKERS[1:]:
+            tracer, _ = self.trace_once(data, queries, 2, workers, faults)
             got = json.dumps(tracer.root.sim_dict(), sort_keys=True)
-            assert got == base, (workers, backend)
+            assert got == base, workers
 
     @pytest.mark.parametrize("faults", [False, True])
     def test_own_io_sums_to_composite_router_ledger(
@@ -633,9 +617,7 @@ class TestDistributedTracing:
     def test_shard_visit_spans_carry_routing_decisions(
         self, data, queries
     ):
-        tracer, batch = self.trace_once(
-            data, queries, 3, 1, "thread", faults=False
-        )
+        tracer, batch = self.trace_once(data, queries, 3, 1, faults=False)
         visits = tracer.root.find_all("shard-visit")
         assert visits
         for visit in visits:
@@ -654,9 +636,7 @@ class TestDistributedTracing:
             assert visit.find("refine") is not None
 
     def test_routing_trace_links_the_visit_spans(self, data, queries):
-        tracer, batch = self.trace_once(
-            data, queries, 3, 1, "thread", faults=False
-        )
+        tracer, batch = self.trace_once(data, queries, 3, 1, faults=False)
         visits = tracer.root.find_all("shard-visit")
         assert list(batch.routing.spans) == visits
 
@@ -691,9 +671,7 @@ class TestDistributedTracing:
     ):
         """Shard visits attribute I/O to their shard disk but sit on
         the router's composite clock, so siblings stay ordered."""
-        tracer, _ = self.trace_once(
-            data, queries, 3, 1, "thread", faults=False
-        )
+        tracer, _ = self.trace_once(data, queries, 3, 1, faults=False)
         visits = tracer.root.find_all("shard-visit")
         starts = [v.sim_start for v in visits]
         assert starts == sorted(starts)

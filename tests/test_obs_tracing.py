@@ -20,11 +20,10 @@ from repro.obs.tracing import (
     Tracer,
     _NULL_SPAN,
     active_tracer,
-    ledger_state,
     span,
     trace_query,
 )
-from repro.storage.disk import DiskModel, IOStats, SimulatedDisk
+from repro.storage.disk import DiskModel, SimulatedDisk
 
 
 @pytest.fixture
@@ -219,24 +218,6 @@ class TestSimulatedClock:
 class TestSpanRecord:
     """The picklable worker-to-coordinator span carrier."""
 
-    def test_capture_windows_the_ledger_delta(self):
-        ledger = IOStats()
-        before = ledger_state(ledger)
-        ledger.seeks = 2
-        ledger.blocks_read = 7
-        ledger.elapsed = 0.5
-        rec = SpanRecord.capture("unit", ledger, before, query=3)
-        assert rec.name == "unit"
-        assert rec.attrs == (("query", 3),)
-        assert (rec.seeks, rec.blocks_read) == (2, 7)
-        assert rec.sim_start == 0.0
-        assert rec.sim_seconds == pytest.approx(0.5)
-
-    def test_capture_none_ledger_is_all_zero(self):
-        rec = SpanRecord.capture("idle", None, ledger_state(None))
-        assert rec.sim_seconds == 0.0
-        assert rec.seeks == rec.blocks_read == 0
-
     def test_records_pickle_round_trip(self):
         rec = SpanRecord(
             name="plan-query",
@@ -366,7 +347,7 @@ class TestDistributedAttribution:
         return own
 
     def test_own_io_invariant_under_process_backend(self, tree, rng):
-        engine = tree.query_engine(workers=4, backend="process")
+        engine = tree.query_engine(workers=4)
         queries = rng.random((8, 6))
         try:
             with trace_query(engine) as tracer:
@@ -380,7 +361,7 @@ class TestDistributedAttribution:
         assert own.elapsed == pytest.approx(ledger.elapsed, abs=1e-12)
 
     def test_worker_spans_stitched_into_refine(self, tree, rng):
-        engine = tree.query_engine(workers=2, backend="thread")
+        engine = tree.query_engine(workers=2)
         queries = rng.random((5, 6))
         try:
             with trace_query(engine) as tracer:
@@ -400,22 +381,16 @@ class TestDistributedAttribution:
 
     def test_trace_identical_across_workers_and_backends(self, rng):
         """Acceptance: stitched trees are bit-identical for any
-        worker count and backend (sim projection, not wall clock)."""
+        worker count (sim projection, not wall clock)."""
         points = rng.random((800, 6))
         queries = rng.random((6, 6))
         dumps = []
-        for workers, backend in [
-            (1, "thread"),
-            (2, "thread"),
-            (4, "process"),
-        ]:
+        for workers in (1, 2, 4):
             disk = SimulatedDisk(
                 DiskModel(t_seek=0.010, t_xfer=0.001, block_size=512)
             )
             tree = IQTree.build(points, disk=disk)
-            engine = tree.query_engine(
-                workers=workers, backend=backend
-            )
+            engine = tree.query_engine(workers=workers)
             try:
                 with trace_query(engine, name="knn-batch") as tracer:
                     engine.knn_batch(queries, k=3)
@@ -433,7 +408,7 @@ class TestDistributedAttribution:
         inj.fail_always(tree._quant_file.extent_start)
         tree.disk.install_fault_injector(inj)
         tree.use_fault_tolerance()
-        engine = tree.query_engine(workers=2, backend="thread")
+        engine = tree.query_engine(workers=2)
         try:
             with trace_query(engine) as tracer:
                 batch = engine.knn_batch(rng.random((6, 6)), k=3)
@@ -453,13 +428,13 @@ class TestDistributedAttribution:
         trace is active must fail loudly, not silently thin the tree.
 
         The stripping wrapper is a local (unpicklable), so this runs
-        on the default inline/thread path -- which is exactly where
-        the engine-side stitch check lives.
+        on the default inline path -- the engine-side stitch check
+        runs on the coordinator either way.
         """
         real = engine_mod.plan_knn_shard
 
-        def stripping(task, indices, ledger):
-            plans = real(task, indices, ledger)
+        def stripping(task, indices):
+            plans = real(task, indices)
             for plan in plans:
                 plan.pop("spans", None)
             return plans
