@@ -8,6 +8,7 @@ Usage::
     python -m repro batch  index.iqt --random 50 [--k 5] [--pool 256]
     python -m repro batch  index.iqt --random 50 --workers 4 [--decode-cache 4194304]
     python -m repro batch  index.iqt --random 50 --radius 0.2 [--compare]
+    python -m repro batch  index.iqt --random 50 --shards 4 [--kill-shard 0] [--compare]
     python -m repro info   index.iqt
     python -m repro fsck   index.iqt
     python -m repro validate index.iqt [--queries 10]
@@ -16,6 +17,7 @@ Usage::
     python -m repro trace  index.iqt [--k 5] [--json]
     python -m repro trace  index.iqt --export chrome --shards 4 --workers 2
     python -m repro flight index.iqt --shards 4 --kill-shard 0
+    python -m repro flight index.iqt --single [--pool 64]
     python -m repro chaos  index.iqt [--kinds transient] [--levels exact]
     python -m repro chaos  index.iqt --writes [--ops 40] [--group-commit 4]
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -67,13 +70,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.point:
         queries = [np.array([float(x) for x in args.point.split(",")])]
     else:
-        rng = np.random.default_rng(args.seed)
-        lo = tree.points.min(axis=0)
-        hi = tree.points.max(axis=0)
-        queries = [
-            lo + rng.random(tree.dim) * (hi - lo)
-            for _ in range(args.random)
-        ]
+        queries = _random_queries(tree, args.random, args.seed)
     for query in queries:
         result = tree.nearest(query, k=args.k)
         pairs = ", ".join(
@@ -95,32 +92,93 @@ def _random_queries(tree, count: int, seed: int) -> np.ndarray:
     return lo + rng.random((count, tree.dim)) * (hi - lo)
 
 
-def _cmd_batch(args: argparse.Namespace) -> int:
+def _load_workload(args: argparse.Namespace):
+    """The index and the command's ``--random``/``--seed`` query batch."""
     tree = load_iqtree(args.index)
-    queries = _random_queries(tree, args.random, args.seed)
-    if args.shards is not None:
-        return _batch_sharded(args, tree, queries)
-    engine = tree.query_engine(
-        pool=args.pool,
-        workers=args.workers,
-        decode_cache=args.decode_cache,
-    )
-    if args.radius is not None:
-        result = engine.range_batch(queries, args.radius)
-        kind = f"range r={args.radius}"
+    return tree, _random_queries(tree, args.random, args.seed)
+
+
+@contextmanager
+def _serving(args: argparse.Namespace, tree, kill=()):
+    """Open the engine or shard router a command's flags describe.
+
+    ``--shards`` selects a :class:`~repro.engine.ShardRouter` (``--pool``
+    and ``--decode-cache`` become per-shard budgets) with the ``kill``
+    shard indices taken down; otherwise a
+    :class:`~repro.engine.QueryEngine`.  A flag the command lacks keeps
+    its library default.  The worker pool is closed on every exit path.
+    """
+    options = {
+        "pool": getattr(args, "pool", None),
+        "workers": getattr(args, "workers", 1),
+        "decode_cache": getattr(args, "decode_cache", None),
+    }
+    shards = getattr(args, "shards", None)
+    if shards is None:
+        target, kill = tree.query_engine(**options), ()
     else:
-        result = engine.knn_batch(queries, k=args.k)
-        kind = f"{args.k}-NN"
+        from repro.engine import ShardRouter
+
+        target = ShardRouter(tree, shards=shards, **options)
+    try:
+        for index in kill:
+            if not 0 <= index < target.n_shards:
+                raise SystemExit(
+                    f"shard index {index} out of range (router has "
+                    f"{target.n_shards} shards; the count clamps to the "
+                    f"page count)"
+                )
+            target.kill_shard(index)
+        yield target
+    finally:
+        target.close()
+
+
+def _cmd_batch(args: argparse.Namespace) -> int:
+    tree, queries = _load_workload(args)
+    with _serving(args, tree, kill=args.kill_shard or ()) as target:
+        if args.radius is not None:
+            result = target.range_batch(queries, args.radius)
+            kind = f"range r={args.radius}"
+        else:
+            result = target.knn_batch(queries, k=args.k)
+            kind = f"{args.k}-NN"
     stats = result.stats
-    print(
-        f"batch of {stats.n_queries} {kind} queries "
-        f"({stats.workers} worker{'s' if stats.workers != 1 else ''}): "
+    workers = f"{stats.workers} worker{'s' if stats.workers != 1 else ''}"
+    cost = (
         f"{stats.io.elapsed * 1e3:.2f} ms simulated "
         f"({stats.mean_time * 1e3:.3f} ms/query), "
         f"{stats.io.seeks} seeks, {stats.pages_read} pages, "
-        f"{stats.refinements} refinements, "
-        f"{stats.bytes_transferred} bytes"
+        f"{stats.refinements} refinements"
     )
+    if args.shards is None:
+        print(
+            f"batch of {stats.n_queries} {kind} queries ({workers}): "
+            f"{cost}, {stats.bytes_transferred} bytes"
+        )
+    else:
+        routing = result.routing
+        alive = sum(1 for s in target.shards if s.alive)
+        print(
+            f"sharded batch of {stats.n_queries} {kind} queries over "
+            f"{target.n_shards} shards ({alive} alive, {workers}): {cost}"
+        )
+        mean_contacted = (
+            float(routing.contacted.mean()) if len(result) else 0.0
+        )
+        print(
+            f"routing: visit order {routing.visit_order}, "
+            f"{mean_contacted:.2f} shards contacted/query, "
+            f"{routing.skipped} shard visits pruned"
+            + (f", dead shards {list(routing.dead)}" if routing.dead else "")
+        )
+        degraded = sum(1 for r in result if r.degraded)
+        if degraded:
+            print(
+                f"degraded answers: {degraded}/{stats.n_queries} "
+                f"({stats.lost_pages} lost-page reports with global "
+                f"mindist/maxdist bounds)"
+            )
     if stats.pool_hits or stats.pool_misses:
         print(
             f"buffer pool: {stats.pool_hits} hits / "
@@ -149,62 +207,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             f"sequential loop: {elapsed * 1e3:.2f} ms simulated, "
             f"{seeks} seeks ({speedup:.1f}x slower than batched)"
         )
-    return 0
-
-
-def _batch_sharded(args: argparse.Namespace, tree, queries) -> int:
-    """Run the batch scatter-gather through a ShardRouter."""
-    from repro.engine import ShardRouter
-
-    router = ShardRouter(
-        tree,
-        shards=args.shards,
-        workers=args.workers,
-        pool=args.pool,
-        decode_cache=args.decode_cache,
-    )
-    for index in args.kill_shard or ():
-        if not 0 <= index < router.n_shards:
-            raise SystemExit(
-                f"--kill-shard index {index} out of range (router has "
-                f"{router.n_shards} shards; the count clamps to the "
-                f"page count)"
-            )
-        router.kill_shard(index)
-    if args.radius is not None:
-        result = router.range_batch(queries, args.radius)
-        kind = f"range r={args.radius}"
-    else:
-        result = router.knn_batch(queries, k=args.k)
-        kind = f"{args.k}-NN"
-    stats, routing = result.stats, result.routing
-    alive = sum(1 for s in router.shards if s.alive)
-    print(
-        f"sharded batch of {stats.n_queries} {kind} queries over "
-        f"{router.n_shards} shards ({alive} alive, "
-        f"{stats.workers} worker{'s' if stats.workers != 1 else ''}): "
-        f"{stats.io.elapsed * 1e3:.2f} ms simulated "
-        f"({stats.mean_time * 1e3:.3f} ms/query), "
-        f"{stats.io.seeks} seeks, {stats.pages_read} pages, "
-        f"{stats.refinements} refinements"
-    )
-    mean_contacted = (
-        float(routing.contacted.mean()) if len(result) else 0.0
-    )
-    print(
-        f"routing: visit order {routing.visit_order}, "
-        f"{mean_contacted:.2f} shards contacted/query, "
-        f"{routing.skipped} shard visits pruned"
-        + (f", dead shards {list(routing.dead)}" if routing.dead else "")
-    )
-    degraded = sum(1 for r in result if r.degraded)
-    if degraded:
-        print(
-            f"degraded answers: {degraded}/{stats.n_queries} "
-            f"({stats.lost_pages} lost-page reports with global "
-            f"mindist/maxdist bounds)"
-        )
-    router.close()
     return 0
 
 
@@ -258,10 +260,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     obs.enable()
     burning = 0
     try:
-        tree = load_iqtree(args.index)
-        queries = _random_queries(tree, args.random, args.seed)
-        engine = tree.query_engine(pool=args.pool)
-        engine.knn_batch(queries, k=args.k)
+        tree, queries = _load_workload(args)
+        with _serving(args, tree) as engine:
+            engine.knn_batch(queries, k=args.k)
         statuses = None
         if args.slo:
             monitor = obs.SLOMonitor(args.slo)
@@ -285,29 +286,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    tree = load_iqtree(args.index)
-    queries = _random_queries(tree, args.random, args.seed)
-    router = None
-    if args.shards is not None:
-        from repro.engine import ShardRouter
-
-        router = ShardRouter(
-            tree,
-            shards=args.shards,
-            workers=args.workers,
-            pool=args.pool,
-        )
-        target = router
-        name = f"knn-batch k={args.k} shards={router.n_shards}"
-    else:
-        target = tree.query_engine(pool=args.pool, workers=args.workers)
-        name = f"knn-batch k={args.k}"
-    try:
+    tree, queries = _load_workload(args)
+    name = f"knn-batch k={args.k}"
+    with _serving(args, tree) as target:
+        if args.shards is not None:
+            name += f" shards={target.n_shards}"
         with obs.trace_query(target, name=name) as tracer:
             result = target.knn_batch(queries, k=args.k)
-    finally:
-        if router is not None:
-            router.close()
 
     # The attribution invariant always gets checked; when the span tree
     # itself goes to stdout (export / json), the report moves to stderr
@@ -349,44 +334,25 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_flight(args: argparse.Namespace) -> int:
-    tree = load_iqtree(args.index)
-    queries = _random_queries(tree, args.random, args.seed)
+    tree, queries = _load_workload(args)
     recorder = obs.FlightRecorder(
         capacity=args.capacity,
         slow_threshold=args.slow_threshold,
         top_slow=args.top_slow,
     )
-    if args.shards is not None:
-        from repro.engine import ShardRouter
-
-        router = ShardRouter(tree, shards=args.shards, workers=args.workers)
-        for index in args.kill_shard or ():
-            if not 0 <= index < router.n_shards:
-                raise SystemExit(
-                    f"--kill-shard index {index} out of range "
-                    f"(router has {router.n_shards} shards)"
-                )
-            router.kill_shard(index)
-        router.use_flight_recorder(recorder)
+    with _serving(args, tree, kill=args.kill_shard or ()) as target:
+        # A router records its own batches; an engine's land on the tree,
+        # which --single queries directly (the engine attached --pool).
+        host = tree if args.shards is None else target
+        host.use_flight_recorder(recorder)
         try:
-            router.knn_batch(queries, k=args.k)
+            if args.single and args.shards is None:
+                for query in queries:
+                    tree.nearest(query, k=args.k)
+            else:
+                target.knn_batch(queries, k=args.k)
         finally:
-            router.clear_flight_recorder()
-            router.close()
-    elif args.single:
-        tree.use_flight_recorder(recorder)
-        try:
-            for query in queries:
-                tree.nearest(query, k=args.k)
-        finally:
-            tree.clear_flight_recorder()
-    else:
-        tree.use_flight_recorder(recorder)
-        engine = tree.query_engine(pool=args.pool, workers=args.workers)
-        try:
-            engine.knn_batch(queries, k=args.k)
-        finally:
-            tree.clear_flight_recorder()
+            host.clear_flight_recorder()
     print(recorder.to_json())
     print(
         f"flight recorder: {recorder.recorded} recorded, "
@@ -410,10 +376,59 @@ def _chaos_schedule(injector, kind: str, address: int) -> None:
         injector.corrupt_always(address)
 
 
+def _certain_problems(tree, query, result) -> list[str]:
+    """Every result flagged certain must carry its exact distance."""
+    problems = []
+    for pos, pid in enumerate(result.ids.tolist()):
+        if result.certain is None or not result.certain[pos]:
+            continue
+        true_dist = tree.metric.distance(query, tree.points[pid])
+        if abs(result.distances[pos] - true_dist) > 1e-9:
+            problems.append(f"certain result {pid} reports a wrong distance")
+    return problems
+
+
+def _flight_problems(recorder, degraded: int) -> list[str]:
+    """The flight recorder must have seen every degraded result."""
+    seen = len(recorder.records("degraded"))
+    if seen == degraded:
+        return []
+    return [
+        f"flight recorder captured {seen} degraded records but the run "
+        f"observed {degraded} degraded results"
+    ]
+
+
+def _answer_problems(want, got, what: str) -> list[str]:
+    """One problem per query whose ids or distances are not bit-identical."""
+    problems = []
+    for i, (w, g) in enumerate(zip(want, got)):
+        if not np.array_equal(w.ids, g.ids):
+            problems.append(f"query {i}: {what} ids differ")
+        elif not np.array_equal(w.distances, g.distances):
+            problems.append(f"query {i}: {what} distances differ")
+    return problems
+
+
+def _report(head: str, problems, detail: str) -> bool:
+    """Print one chaos cell's verdict and problems; True when it failed."""
+    print(f"  {head} {'FAIL' if problems else 'ok'}  {detail}")
+    for problem in problems:
+        print(f"      !! {problem}")
+    return bool(problems)
+
+
+def _chaos_workload(tree, queries, k, radius):
+    """Run the chaos probe queries: ``((kind, i), query, result)`` each."""
+    for i, query in enumerate(queries):
+        yield ("knn", i), query, tree.nearest(query, k=k)
+        if radius is not None:
+            yield ("range", i), query, tree.range_query(query, radius)
+
+
 def _chaos_check(tree, query, result, base, kind: str) -> list[str]:
     """Verify one degraded-mode result against the robustness contract."""
     problems: list[str] = []
-    metric = tree.metric
     if kind == "transient" and result.degraded:
         problems.append("transient fault did not retry to an exact answer")
     if not result.degraded:
@@ -423,21 +438,18 @@ def _chaos_check(tree, query, result, base, kind: str) -> list[str]:
         if not same:
             problems.append("non-degraded result differs from baseline")
         return problems
-    intervals = result.intervals or {}
+    problems += _certain_problems(tree, query, result)
+    intervals, certain = result.intervals or {}, result.certain
     for pos, pid in enumerate(result.ids.tolist()):
-        true_dist = metric.distance(query, tree.points[pid])
-        if result.certain is not None and result.certain[pos]:
-            if abs(result.distances[pos] - true_dist) > 1e-9:
-                problems.append(
-                    f"certain result {pid} reports a wrong distance"
-                )
-        elif pid in intervals:
-            lo, hi = intervals[pid]
-            if not (lo - 1e-9 <= true_dist <= hi + 1e-9):
-                problems.append(
-                    f"interval [{lo:.4f}, {hi:.4f}] of point {pid} "
-                    f"misses its true distance {true_dist:.4f}"
-                )
+        if pid not in intervals or (certain is not None and certain[pos]):
+            continue
+        lo, hi = intervals[pid]
+        true_dist = tree.metric.distance(query, tree.points[pid])
+        if not (lo - 1e-9 <= true_dist <= hi + 1e-9):
+            problems.append(
+                f"interval [{lo:.4f}, {hi:.4f}] of point {pid} "
+                f"misses its true distance {true_dist:.4f}"
+            )
     return problems
 
 
@@ -460,22 +472,10 @@ def _chaos_run(
     problems: list[str] = []
     degraded = lost = 0
     try:
-        for i, query in enumerate(queries):
-            result = tree.nearest(query, k=k)
-            problems.extend(
-                _chaos_check(tree, query, result, baseline[("knn", i)], kind)
-            )
+        for key, query, result in _chaos_workload(tree, queries, k, radius):
+            problems += _chaos_check(tree, query, result, baseline[key], kind)
             degraded += bool(result.degraded)
             lost += len(result.lost_pages)
-            if radius is not None:
-                rresult = tree.range_query(query, radius)
-                problems.extend(
-                    _chaos_check(
-                        tree, query, rresult, baseline[("range", i)], kind
-                    )
-                )
-                degraded += bool(rresult.degraded)
-                lost += len(rresult.lost_pages)
     except Exception as exc:  # noqa: BLE001 -- no schedule may crash
         problems.append(f"workload crashed: {type(exc).__name__}: {exc}")
     finally:
@@ -486,13 +486,7 @@ def _chaos_run(
         problems.append("transient schedule never triggered a retry")
     if kind != "transient" and not (degraded or lost):
         problems.append(f"{kind} schedule degraded no result")
-    flight_degraded = len(recorder.records("degraded"))
-    if flight_degraded != degraded:
-        problems.append(
-            f"flight recorder captured {flight_degraded} degraded "
-            f"records but the workload observed {degraded} degraded "
-            f"results"
-        )
+    problems += _flight_problems(recorder, degraded)
     if (ctx.retries or ctx.quarantined) and not recorder.records("faulted"):
         problems.append(
             "fault tolerance retried/quarantined but the flight "
@@ -513,87 +507,55 @@ def _chaos_sharded(args: argparse.Namespace, tree, queries, k) -> int:
     answers match the pristine single-tree baseline bit-exactly.
     Returns non-zero when any check fails.
     """
-    from repro.engine import ShardRouter
-
     kill = [int(s) for s in args.kill_shards.split(",") if s != ""]
-    baseline = tree.query_engine().knn_batch(queries, k=k)
-    router = ShardRouter(tree, shards=args.shards, workers=args.workers)
-    for index in kill:
-        if not 0 <= index < router.n_shards:
-            raise SystemExit(
-                f"--kill-shards index {index} out of range "
-                f"(router has {router.n_shards} shards)"
-            )
-        router.kill_shard(index)
-    recorder = router.use_flight_recorder(
-        obs.FlightRecorder(capacity=4096, top_slow=0)
-    )
-    try:
-        degraded_run = router.knn_batch(queries, k=k)
-    finally:
-        router.clear_flight_recorder()
-
+    with tree.query_engine() as engine:
+        baseline = engine.knn_batch(queries, k=k)
     problems: list[str] = []
-    metric = tree.metric
-    n_degraded = sum(1 for r in degraded_run if r.degraded)
-    for i, (base, got) in enumerate(zip(baseline, degraded_run)):
-        got_ids = set(got.ids.tolist())
-        for pid, dist in zip(base.ids.tolist(), base.distances.tolist()):
-            if pid in got_ids:
-                continue
-            page = router.page_of(pid)
-            covered = any(
-                lp.page == page
-                and lp.mindist - 1e-9 <= dist <= lp.maxdist + 1e-9
-                for lp in got.lost_pages
-            )
-            if not covered:
-                problems.append(
-                    f"query {i}: true neighbor {pid} (d={dist:.4f}, "
-                    f"page {page}) neither returned nor covered by a "
-                    f"lost-page bound"
-                )
-        if got.certain is not None:
-            for pos, pid in enumerate(got.ids.tolist()):
-                if not got.certain[pos]:
-                    continue
-                true_dist = metric.distance(queries[i], tree.points[pid])
-                if abs(got.distances[pos] - true_dist) > 1e-9:
-                    problems.append(
-                        f"query {i}: certain result {pid} reports a "
-                        f"wrong distance"
-                    )
-    if kill and not n_degraded:
-        problems.append("shard kill degraded no result")
-    flight_degraded = len(recorder.records("degraded"))
-    if flight_degraded != n_degraded:
-        problems.append(
-            f"flight recorder captured {flight_degraded} degraded "
-            f"records but the batch observed {n_degraded} degraded "
-            f"queries"
+    with _serving(args, tree, kill=kill) as router:
+        recorder = router.use_flight_recorder(
+            obs.FlightRecorder(capacity=4096, top_slow=0)
         )
-
-    for index in kill:
-        router.revive_shard(index)
-    revived = router.knn_batch(queries, k=k)
-    for i, (base, got) in enumerate(zip(baseline, revived)):
-        if base.ids.tolist() != got.ids.tolist() or not np.allclose(
-            base.distances, got.distances, atol=1e-12
-        ):
-            problems.append(
-                f"query {i}: revived router differs from baseline"
-            )
-    router.close()
-
-    verdict = "FAIL" if problems else "ok"
-    print(
-        f"  shard-kill {kill} / {args.shards} shards: {verdict}  "
+        try:
+            degraded_run = router.knn_batch(queries, k=k)
+        finally:
+            router.clear_flight_recorder()
+        n_degraded = sum(1 for r in degraded_run if r.degraded)
+        for i, (base, got) in enumerate(zip(baseline, degraded_run)):
+            got_ids = set(got.ids.tolist())
+            for pid, dist in zip(base.ids.tolist(), base.distances.tolist()):
+                if pid in got_ids:
+                    continue
+                page = router.page_of(pid)
+                covered = any(
+                    lp.page == page
+                    and lp.mindist - 1e-9 <= dist <= lp.maxdist + 1e-9
+                    for lp in got.lost_pages
+                )
+                if not covered:
+                    problems.append(
+                        f"query {i}: true neighbor {pid} (d={dist:.4f}, "
+                        f"page {page}) neither returned nor covered by a "
+                        f"lost-page bound"
+                    )
+            problems += [
+                f"query {i}: {problem}"
+                for problem in _certain_problems(tree, queries[i], got)
+            ]
+        if kill and not n_degraded:
+            problems.append("shard kill degraded no result")
+        problems += _flight_problems(recorder, n_degraded)
+        for index in kill:
+            router.revive_shard(index)
+        problems += _answer_problems(
+            baseline, router.knn_batch(queries, k=k), "revived router"
+        )
+    _report(
+        f"shard-kill {kill} / {args.shards} shards:",
+        problems,
         f"[{n_degraded} degraded / "
         f"{degraded_run.stats.lost_pages} lost-page reports, "
-        f"{degraded_run.routing.skipped} visits pruned]"
+        f"{degraded_run.routing.skipped} visits pruned]",
     )
-    for problem in problems:
-        print(f"      !! {problem}")
     print(f"chaos verdict: {'FAIL' if problems else 'PASS'}")
     return 1 if problems else 0
 
@@ -636,16 +598,6 @@ def _write_answers(tree, queries, k):
     return [tree.nearest(q, k=k) for q in queries]
 
 
-def _compare_write_answers(want, got) -> list[str]:
-    problems = []
-    for i, (w, g) in enumerate(zip(want, got)):
-        if not np.array_equal(w.ids, g.ids):
-            problems.append(f"query {i}: recovered ids differ")
-        elif not np.array_equal(w.distances, g.distances):
-            problems.append(f"query {i}: recovered distances differ")
-    return problems
-
-
 def _chaos_writes(args: argparse.Namespace) -> int:
     """Crash the write path at every protocol boundary and verify that
     recovery is bit-identical to a crash-free replay of exactly the
@@ -657,7 +609,6 @@ def _chaos_writes(args: argparse.Namespace) -> int:
 
     from repro.core.maintenance import MaintenanceManager
     from repro.core.optimizer import OptimizedPartition
-    from repro.engine.engine import QueryEngine
     from repro.engine.sharding import ShardRouter
     from repro.exceptions import IntegrityError
     from repro.storage.faults import FaultInjector, PowerLoss
@@ -668,8 +619,7 @@ def _chaos_writes(args: argparse.Namespace) -> int:
         wal_path,
     )
 
-    source = load_iqtree(args.index)
-    queries = _random_queries(source, args.random, args.seed)
+    source, queries = _load_workload(args)
     k = min(args.k, source.n_points)
     ops = _write_ops_script(source, args.ops, args.seed)
     crash_at = len(ops) // 2
@@ -763,17 +713,14 @@ def _chaos_writes(args: argparse.Namespace) -> int:
                 n_acked = index
             recovered = DurableTree.open(store.path, fsync=False)
             got = _write_answers(recovered.tree, queries, k)
-            problems = _compare_write_answers(
-                reference_answers(n_acked), got
+            problems = _answer_problems(
+                reference_answers(n_acked), got, "recovered"
             )
-            verdict = "FAIL" if problems else "ok"
-            print(
-                f"  {name:22s}: {verdict}  "
-                f"[{n_acked} acked, {recovered.recovered_ops} replayed]"
+            failed |= _report(
+                f"{name:22s}:",
+                problems,
+                f"[{n_acked} acked, {recovered.recovered_ops} replayed]",
             )
-            for problem in problems:
-                failed = True
-                print(f"      !! {problem}")
 
         # ---- at-rest corruption of an acked record is loud ------------
         store = fresh_store("victim")
@@ -835,59 +782,32 @@ def _chaos_writes(args: argparse.Namespace) -> int:
             raise errors[0]
         return results, sweeps[0]
 
-    qmatrix = np.asarray(queries)
-    problems = []
-
-    engine_tree = load_iqtree(args.index)
-    engine = QueryEngine(engine_tree, workers=2)
-    try:
-        want = engine.knn_batch(qmatrix, k=k)
-        got_all, sweeps = churn_batches(
-            lambda: engine.knn_batch(qmatrix, k=k), engine_tree
-        )
-        for got in got_all or []:
-            for i, (w, g) in enumerate(zip(want, got)):
-                if not np.array_equal(w.ids, g.ids) or not np.array_equal(
-                    w.distances, g.distances
-                ):
-                    problems.append(
-                        f"engine query {i} changed under maintenance"
-                    )
-    finally:
-        engine.close()
-    verdict = "FAIL" if problems else "ok"
-    print(
-        f"  maintenance x engine:   {verdict}  "
-        f"[{sweeps} sweeps raced]"
+    races = (
+        ("engine", lambda t: t.query_engine(workers=2), lambda e: e.tree),
+        (
+            "sharded",
+            lambda t: ShardRouter(t, shards=2, workers=2),
+            lambda r: r.shards[0].tree,
+        ),
     )
-
-    shard_problems = []
-    shard_tree = load_iqtree(args.index)
-    router = ShardRouter(shard_tree, shards=2, workers=2)
-    try:
-        want = router.knn_batch(qmatrix, k=k)
-        got_all, shard_sweeps = churn_batches(
-            lambda: router.knn_batch(qmatrix, k=k),
-            router.shards[0].tree,
+    for label, open_target, churned in races:
+        with open_target(load_iqtree(args.index)) as target:
+            want = target.knn_batch(queries, k=k)
+            got_all, sweeps = churn_batches(
+                lambda: target.knn_batch(queries, k=k), churned(target)
+            )
+        problems = [
+            problem
+            for got in got_all or []
+            for problem in _answer_problems(
+                want, got, f"{label} batch under maintenance"
+            )
+        ]
+        failed |= _report(
+            f"{f'maintenance x {label}:':23s}",
+            problems,
+            f"[{sweeps} sweeps raced]",
         )
-        for got in got_all or []:
-            for i, (w, g) in enumerate(zip(want, got)):
-                if not np.array_equal(w.ids, g.ids) or not np.array_equal(
-                    w.distances, g.distances
-                ):
-                    shard_problems.append(
-                        f"sharded query {i} changed under maintenance"
-                    )
-    finally:
-        router.close()
-    verdict = "FAIL" if shard_problems else "ok"
-    print(
-        f"  maintenance x sharded:  {verdict}  "
-        f"[{shard_sweeps} sweeps raced]"
-    )
-    for problem in problems + shard_problems:
-        failed = True
-        print(f"      !! {problem}")
 
     print(f"chaos verdict: {'FAIL' if failed else 'PASS'}")
     return 1 if failed else 0
@@ -899,8 +819,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     if args.writes:
         return _chaos_writes(args)
-    tree = load_iqtree(args.index)
-    queries = _random_queries(tree, args.random, args.seed)
+    tree, queries = _load_workload(args)
     k = min(args.k, tree.n_points)
     if args.shards is not None:
         print(
@@ -919,20 +838,19 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     policy = RetryPolicy(max_attempts=args.retries, backoff_seeks=1)
 
     # Baseline answers on the pristine tree, keyed by query position.
-    baseline: dict[tuple[str, int], object] = {}
-    for i, query in enumerate(queries):
-        baseline[("knn", i)] = tree.nearest(query, k=k)
-        if args.radius is not None:
-            baseline[("range", i)] = tree.range_query(query, args.radius)
+    baseline = {
+        key: result
+        for key, _query, result in _chaos_workload(
+            tree, queries, k, args.radius
+        )
+    }
 
     # Oracle pass: a schedule-free injector observes every timed read,
     # telling us which addresses each level actually touches.
     observer = ReadFaultInjector()
     tree.disk.install_fault_injector(observer)
-    for query in queries:
-        tree.nearest(query, k=k)
-        if args.radius is not None:
-            tree.range_query(query, args.radius)
+    for _run in _chaos_workload(tree, queries, k, args.radius):
+        pass
     tree.disk.clear_fault_injector()
     victims: dict[str, int] = {}
     for address in sorted(observer.attempts_seen):
@@ -956,17 +874,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 tree, queries, k, args.radius, kind, level, address,
                 policy, baseline,
             )
-            verdict = "FAIL" if problems else "ok"
-            print(
-                f"  {kind:10s} x {level:9s} (block {address}): "
-                f"{verdict}  retries={counters[0]} "
-                f"quarantined={counters[1]} degraded={counters[2]} "
-                f"lost_pages={counters[3]} "
-                f"[{degraded} degraded / {lost} lost-page reports]"
+            failed |= _report(
+                f"{kind:10s} x {level:9s} (block {address}):",
+                problems,
+                f"retries={counters[0]} quarantined={counters[1]} "
+                f"degraded={counters[2]} lost_pages={counters[3]} "
+                f"[{degraded} degraded / {lost} lost-page reports]",
             )
-            for problem in problems:
-                failed = True
-                print(f"      !! {problem}")
 
     # A chaos run must not poison later fault-free queries.
     clean_problems: list[str] = []
@@ -984,6 +898,54 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print("post-chaos pristine check: ok (matches baseline)")
     print(f"chaos verdict: {'FAIL' if failed else 'PASS'}")
     return 1 if failed else 0
+
+
+# The serving options :func:`_serving` reads, declared once; each
+# command adds the ones it has.
+_SERVING_OPTIONS = {
+    "--pool": dict(
+        type=int,
+        default=None,
+        help="buffer pool capacity in blocks (default: no pool)",
+    ),
+    "--workers": dict(
+        type=int,
+        default=1,
+        help="worker processes for the per-query phases (default: 1 = inline)",
+    ),
+    "--decode-cache": dict(
+        type=int,
+        default=None,
+        metavar="BYTES",
+        help="cross-batch decoded-page cache budget in bytes "
+        "(default: no decoded cache)",
+    ),
+    "--shards": dict(
+        type=int,
+        default=None,
+        help="serve scatter-gather through a ShardRouter over this many "
+        "shards (partitioned from the first-level directory by MBR); "
+        "cache budgets become per-shard budgets",
+    ),
+    "--kill-shard": dict(
+        type=int,
+        action="append",
+        metavar="INDEX",
+        help="take a shard down first (repeatable, with --shards); its "
+        "queries degrade to lost-page bounds instead of failing",
+    ),
+}
+
+
+def _add_workload(parser, random: int, k: int, random_help: str, *serving):
+    """Declare the index, the ``--random``/``--k``/``--seed`` workload and
+    the named :data:`_SERVING_OPTIONS`."""
+    parser.add_argument("index")
+    parser.add_argument("--random", type=int, default=random, help=random_help)
+    parser.add_argument("--k", type=int, default=k)
+    parser.add_argument("--seed", type=int, default=0)
+    for flag in serving:
+        parser.add_argument(flag, **_SERVING_OPTIONS[flag])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -1024,31 +986,21 @@ def _build_parser() -> argparse.ArgumentParser:
     build.set_defaults(func=_cmd_build)
 
     query = sub.add_parser("query", help="run nearest-neighbor queries")
-    query.add_argument("index")
+    _add_workload(
+        query, 1, 1, "number of random queries when --point is absent"
+    )
     query.add_argument(
         "--point", help="comma-separated query coordinates"
     )
-    query.add_argument(
-        "--random",
-        type=int,
-        default=1,
-        help="number of random queries when --point is absent",
-    )
-    query.add_argument("--k", type=int, default=1)
-    query.add_argument("--seed", type=int, default=0)
     query.set_defaults(func=_cmd_query)
 
     batch = sub.add_parser(
         "batch", help="run a query batch through the shared-buffer engine"
     )
-    batch.add_argument("index")
-    batch.add_argument(
-        "--random",
-        type=int,
-        default=10,
-        help="number of random queries in the batch",
+    _add_workload(
+        batch, 10, 1, "number of random queries in the batch",
+        "--pool", "--workers", "--decode-cache", "--shards", "--kill-shard",
     )
-    batch.add_argument("--k", type=int, default=1)
     batch.add_argument(
         "--radius",
         type=float,
@@ -1056,46 +1008,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run range queries with this radius instead of kNN",
     )
     batch.add_argument(
-        "--pool",
-        type=int,
-        default=None,
-        help="buffer pool capacity in blocks (default: no pool)",
-    )
-    batch.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the per-query phases (default: 1 = inline)",
-    )
-    batch.add_argument(
-        "--decode-cache",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="cross-batch decoded-page cache budget in bytes "
-        "(default: no decoded cache)",
-    )
-    batch.add_argument("--seed", type=int, default=0)
-    batch.add_argument(
         "--compare",
         action="store_true",
         help="also run the same queries one by one and report the cost",
-    )
-    batch.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="serve scatter-gather over this many shards (partitioned "
-        "from the first-level directory by MBR); --pool and "
-        "--decode-cache become per-shard budgets",
-    )
-    batch.add_argument(
-        "--kill-shard",
-        type=int,
-        action="append",
-        metavar="INDEX",
-        help="take a shard down before the batch (repeatable); its "
-        "queries degrade to lost-page bounds instead of failing",
     )
     batch.set_defaults(func=_cmd_batch)
 
@@ -1130,13 +1045,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "stats",
         help="run a query workload and dump the metrics registry",
     )
-    stats.add_argument("index")
-    stats.add_argument(
-        "--random", type=int, default=20, help="workload size"
-    )
-    stats.add_argument("--k", type=int, default=5)
-    stats.add_argument("--pool", type=int, default=None)
-    stats.add_argument("--seed", type=int, default=0)
+    _add_workload(stats, 20, 5, "workload size", "--pool")
     stats.add_argument(
         "--format",
         choices=("prometheus", "json"),
@@ -1163,13 +1072,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "trace",
         help="trace one query batch as a span tree with I/O attribution",
     )
-    trace.add_argument("index")
-    trace.add_argument(
-        "--random", type=int, default=1, help="queries in the batch"
+    _add_workload(
+        trace, 1, 5, "queries in the batch", "--pool", "--workers", "--shards"
     )
-    trace.add_argument("--k", type=int, default=5)
-    trace.add_argument("--pool", type=int, default=None)
-    trace.add_argument("--seed", type=int, default=0)
     trace.add_argument(
         "--json", action="store_true", help="emit the span tree as JSON"
     )
@@ -1187,19 +1092,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the exported trace to this file instead of stdout",
     )
-    trace.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="trace a sharded scatter-gather batch through a "
-        "ShardRouter instead of a single engine",
-    )
-    trace.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the per-query phases (default: 1 = inline)",
-    )
     trace.set_defaults(func=_cmd_trace)
 
     flight = sub.add_parser(
@@ -1207,13 +1099,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run a workload with a flight recorder attached and dump "
         "the captured postmortem records as JSON",
     )
-    flight.add_argument("index")
-    flight.add_argument(
-        "--random", type=int, default=20, help="workload size"
+    _add_workload(
+        flight, 20, 5, "workload size",
+        "--pool", "--workers", "--shards", "--kill-shard",
     )
-    flight.add_argument("--k", type=int, default=5)
-    flight.add_argument("--pool", type=int, default=None)
-    flight.add_argument("--seed", type=int, default=0)
     flight.add_argument(
         "--capacity", type=int, default=64, help="ring-buffer capacity"
     )
@@ -1232,30 +1121,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "(0 disables relative slow capture)",
     )
     flight.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="workers for the batch / sharded paths",
-    )
-    flight.add_argument(
         "--single",
         action="store_true",
         help="run single queries through tree.nearest instead of one "
         "engine batch (exact per-query costs)",
-    )
-    flight.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="run the batch through a ShardRouter with this many shards",
-    )
-    flight.add_argument(
-        "--kill-shard",
-        type=int,
-        action="append",
-        metavar="INDEX",
-        help="take a shard down first (repeatable, with --shards); the "
-        "degraded queries then show up in the recorder",
     )
     flight.set_defaults(func=_cmd_flight)
 
@@ -1263,11 +1132,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="inject read faults and verify the degraded-result contract",
     )
-    chaos.add_argument("index")
-    chaos.add_argument(
-        "--random", type=int, default=8, help="queries per schedule"
-    )
-    chaos.add_argument("--k", type=int, default=3)
+    _add_workload(chaos, 8, 3, "queries per schedule")
     chaos.add_argument(
         "--radius",
         type=float,
@@ -1287,7 +1152,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--retries", type=int, default=3, help="retry budget per read"
     )
-    chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument(
         "--shards",
         type=int,

@@ -106,28 +106,21 @@ def _snapshot(disk) -> SpanIO:
 
 @dataclass(frozen=True)
 class SpanRecord:
-    """A completed span as plain, picklable data.
+    """A completed worker span as plain, picklable data.
 
     What a worker kernel hands back across the process boundary: no
-    live objects, only the name, attributes, and simulated-I/O figures.
-    Worker kernels charge no simulated I/O, so they build records as
-    ``SpanRecord(name, attrs)`` with every figure zero -- identical for
-    any worker count.  No wall clock is recorded: worker wall time is
-    scheduling noise, and the enclosing coordinator span already times
-    the whole phase for humans.
+    live objects, only the name and attributes.  Worker kernels charge
+    no simulated I/O, so a record carries no I/O figures -- identical
+    for any worker count.  No wall clock is recorded either: worker wall
+    time is scheduling noise, and the enclosing coordinator span already
+    times the whole phase for humans.
 
-    :meth:`Tracer.stitch` turns records back into :class:`Span` nodes,
-    re-basing ``sim_start`` onto the coordinator's simulated clock.
+    :meth:`Tracer.stitch` turns records back into zero-I/O :class:`Span`
+    leaves placed at the coordinator's current simulated time.
     """
 
     name: str
     attrs: tuple = ()  # ((key, value), ...) -- dicts don't hash/freeze
-    sim_start: float = 0.0
-    sim_seconds: float = 0.0
-    seeks: int = 0
-    blocks_read: int = 0
-    blocks_overread: int = 0
-    children: tuple = ()
 
 
 @dataclass
@@ -295,40 +288,23 @@ class Tracer:
     def stitch(self, records, parent: Span | None = None) -> list[Span]:
         """Graft worker :class:`SpanRecord` lists into the live tree.
 
-        Records become children of ``parent`` (default: the currently
-        open span), re-based onto this tracer's simulated clock: a
-        record's ``sim_start`` (zero for worker kernels, which charge
-        nothing) is added to the clock's reading *now*.  Call in query
-        order so the stitched tree does not depend on how the work was
-        sharded across workers.
+        Records become zero-I/O children of ``parent`` (default: the
+        currently open span), placed at this tracer's simulated clock
+        reading *now*.  Call in query order so the stitched tree does
+        not depend on how the work was sharded across workers.
         """
         if parent is None:
             parent = self._stack[-1] if self._stack else None
         base = _snapshot(self.disk).elapsed
-        spans = [self._materialize(rec, base) for rec in records]
+        spans = [
+            Span(name=rec.name, attrs=dict(rec.attrs), sim_start=base)
+            for rec in records
+        ]
         if parent is None:
             self.roots.extend(spans)
         else:
             parent.children.extend(spans)
         return spans
-
-    def _materialize(self, rec: SpanRecord, base: float) -> Span:
-        node = Span(
-            name=rec.name,
-            attrs=dict(rec.attrs),
-            sim_start=base + rec.sim_start,
-            sim_seconds=rec.sim_seconds,
-            io=SpanIO(
-                seeks=rec.seeks,
-                blocks_read=rec.blocks_read,
-                blocks_overread=rec.blocks_overread,
-                elapsed=rec.sim_seconds,
-            ),
-        )
-        node.children = [
-            self._materialize(child, base) for child in rec.children
-        ]
-        return node
 
     # ------------------------------------------------------------------
     # Export

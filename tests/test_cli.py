@@ -1,5 +1,7 @@
 """Tests for the top-level ``python -m repro`` CLI."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -246,3 +248,124 @@ class TestChaos:
                     "process",
                 ]
             )
+
+
+@pytest.fixture(scope="module")
+def serving_index(tmp_path_factory):
+    """A 1500x6 index shared by the serving-subcommand tests."""
+    tmp = tmp_path_factory.mktemp("serving")
+    data = tmp / "data.npy"
+    np.save(data, np.random.default_rng(2).random((1500, 6)))
+    path = tmp / "index.iqt"
+    assert main(["build", str(data), str(path)]) == 0
+    return path
+
+
+def _trace_events_well_formed(events) -> bool:
+    """Matched B/E pairs and non-decreasing ``ts`` on every track."""
+    stacks: dict = {}
+    last_ts: dict = {}
+    for event in events:
+        track = (event["pid"], event["tid"])
+        if event["ts"] < last_ts.get(track, float("-inf")):
+            return False
+        last_ts[track] = event["ts"]
+        stack = stacks.setdefault(track, [])
+        if event["ph"] == "B":
+            stack.append(event["name"])
+        elif event["ph"] != "E" or not stack or stack.pop() != event["name"]:
+            return False
+    return not any(stacks.values())
+
+
+class TestTrace:
+    def test_attribution_consistent(self, serving_index, capsys):
+        assert (
+            main(["trace", str(serving_index), "--random", "4", "--k", "5"])
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert "attribution consistent" in out
+
+    def test_sharded_chrome_export(self, serving_index, tmp_path, capsys):
+        out_path = tmp_path / "trace.json"
+        argv = ["trace", str(serving_index), "--random", "4", "--k", "5"]
+        argv += ["--export", "chrome", "--shards", "2", "--workers", "2"]
+        assert main(argv + ["--out", str(out_path)]) == 0
+        assert "attribution consistent" in capsys.readouterr().err
+        events = json.loads(out_path.read_text())["traceEvents"]
+        assert events
+        assert _trace_events_well_formed(events)
+
+
+class TestStats:
+    def test_slo_gauge_exported(self, serving_index, capsys):
+        argv = ["stats", str(serving_index), "--random", "10", "--k", "5"]
+        argv += ["--slo", "latency=iq_query_simulated_seconds:p99<=1.0"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert 'iq_slo_objective_met{objective="latency"} 1' in out
+
+    def test_json_format_parses(self, serving_index, capsys):
+        argv = ["stats", str(serving_index), "--random", "10"]
+        assert main(argv + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload
+
+
+def _flight_records(index, extra, capsys):
+    argv = ["flight", str(index), "--random", "12", "--k", "5"]
+    assert main(argv + extra) == 0
+    return json.loads(capsys.readouterr().out)["records"]
+
+
+class TestFlight:
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--single"], ["--shards", "2", "--kill-shard", "0"]],
+        ids=["engine", "single", "sharded"],
+    )
+    def test_records_carry_reasons(self, serving_index, extra, capsys):
+        records = _flight_records(serving_index, extra, capsys)
+        assert records
+        assert all(r["reasons"] for r in records)
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--single"], ["--shards", "2"]],
+        ids=["engine", "single", "sharded"],
+    )
+    def test_pool_applies_on_every_path(self, serving_index, extra, capsys):
+        extra = extra + ["--pool", "64"]
+        records = _flight_records(serving_index, extra, capsys)
+        assert any(r["counters"]["pool_misses"] > 0 for r in records)
+
+
+class TestShardedBatch:
+    def test_killed_shard_degrades(self, serving_index, capsys):
+        argv = ["batch", str(serving_index), "--random", "10", "--k", "3"]
+        assert main(argv + ["--shards", "2", "--kill-shard", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "sharded batch of 10 3-NN queries over 2 shards" in out
+        assert "degraded answers:" in out
+
+    def test_out_of_range_kill_rejected(self, serving_index):
+        with pytest.raises(SystemExit):
+            main(
+                ["batch", str(serving_index), "--shards", "2",
+                 "--kill-shard", "7"]
+            )
+
+    def test_compare_reports_sequential_loop(self, serving_index, capsys):
+        argv = ["batch", str(serving_index), "--random", "6", "--k", "3"]
+        assert main(argv + ["--shards", "2", "--compare"]) == 0
+        out = capsys.readouterr().out
+        assert "sequential loop:" in out
+
+
+class TestShardedChaos:
+    def test_shard_kill_passes(self, serving_index, capsys):
+        argv = ["chaos", str(serving_index), "--random", "6", "--k", "3"]
+        assert main(argv + ["--shards", "2", "--kill-shards", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "shard-kill [0] / 2 shards: ok" in out
+        assert "chaos verdict: PASS" in out
